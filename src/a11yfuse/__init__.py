@@ -15,6 +15,7 @@ from .engine import (
     AccessLevel,
     EstimationTriple,
     FrameDecision,
+    SourceResult,
     discretize,
     estimate,
     masses_from_estimates,
@@ -43,6 +44,7 @@ from .wcag import (
     default_catalog,
     default_weights,
     load_catalog,
+    load_config,
 )
 
 __version__ = "0.1.0"

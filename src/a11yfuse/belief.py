@@ -134,8 +134,11 @@ def pignistic(m: MassFunction) -> float:
     """Decision-level probability of accessibility.
 
     Splits the ignorance mass evenly over the two singletons and conditions
-    away the conflict mass.
+    away the conflict mass. Dividing by the non-conflict mass itself, not by
+    1 - m.empty, keeps the result in [0, 1] under rounding and exact near
+    total conflict.
     """
-    if m.empty >= 1.0 - NEG_TOL:
+    committed = m.ac + m.nac + m.omega
+    if committed <= NEG_TOL:
         raise TotalConflict("all mass on the empty set; no decision possible")
-    return (m.ac + m.omega / 2.0) / (1.0 - m.empty)
+    return (m.ac + m.omega / 2.0) / committed

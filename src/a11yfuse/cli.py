@@ -10,77 +10,41 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from . import engine
-from .belief import pignistic
-from .engine import AccessLevel, FrameDecision, estimate_parts
-from .errors import IndicatorError, TotalConflict
-from .reports import (
-    FIXTURE_KINDS,
-    AssessorReport,
-    generate_fixture,
-    parse_report,
-)
-from .wcag import (
-    GLOBAL,
-    FRAME_ORDER,
-    CriterionCatalog,
-    WeightConfig,
-    _weights_from_json,
-    default_catalog,
-    default_weights,
-    load_catalog,
-    resolve_frame,
-)
+from .engine import FrameDecision
+from .errors import IndicatorError
+from .reports import (FIXTURE_KINDS, AssessorReport, generate_fixture,
+                      parse_report)
+from .wcag import (GLOBAL, FRAME_ORDER, CriterionCatalog, load_config,
+                   resolve_frame)
 
 FRAME_LABELS = ("Visual", "Hearing", "Motor", "Cognitive", "Global")
 FRAME_KEYS = (*FRAME_ORDER, GLOBAL)
-
-
-def _load_config(catalog_path: Optional[str],
-                 weights_path: Optional[str]) -> Tuple[CriterionCatalog,
-                                                       WeightConfig]:
-    """Resolve catalog and weights; an explicit weights file wins over
-    overrides embedded in the catalog file."""
-    base = default_weights()
-    doc = (json.loads(Path(catalog_path).read_text(encoding="utf-8"))
-           if catalog_path else None)
-    if doc is None:
-        entries_doc: object = None
-        w = base
-    elif isinstance(doc, dict):
-        entries_doc = doc.get("criteria")
-        w = _weights_from_json(doc, base)
-    else:
-        entries_doc = doc
-        w = base
-    if weights_path:
-        wdoc = json.loads(Path(weights_path).read_text(encoding="utf-8"))
-        w = _weights_from_json(wdoc, w)
-    if doc is None:
-        catalog, _ = default_catalog(w)
-    else:
-        catalog, _ = load_catalog(entries_doc, w)
-    return catalog, w
+Row = Tuple[str, Dict[object, FrameDecision]]
 
 
 def _read_pages(page_groups: List[List[str]],
                 catalog: CriterionCatalog) -> List[List[AssessorReport]]:
-    pages = []
-    for group in page_groups:
-        reports = [parse_report(Path(p).read_text(encoding="utf-8"), catalog)
-                   for p in group]
-        pages.append(reports)
-    return pages
+    return [[parse_report(Path(p).read_bytes(), catalog) for p in group]
+            for group in page_groups]
 
 
-def _glyph(level: AccessLevel, ascii_mode: bool) -> str:
-    return level.ascii_glyph if ascii_mode else level.glyph
+def _frame_key(frame) -> str:
+    return frame.value if frame != GLOBAL else GLOBAL
 
 
-def _cell(decision: FrameDecision, ascii_mode: bool) -> str:
-    return f"{decision.decision:.3f} {_glyph(decision.level, ascii_mode)}"
+def _glyph(d: FrameDecision, ascii_mode: bool) -> Optional[str]:
+    if d.level is None:
+        return None
+    return d.level.ascii_glyph if ascii_mode else d.level.glyph
 
 
-def _render_table(rows: List[Tuple[str, Dict]], ascii_mode: bool) -> str:
+def _cell(d: FrameDecision, ascii_mode: bool) -> str:
+    if d.level is None:
+        return "conflict"
+    return f"{d.decision:.3f} {_glyph(d, ascii_mode)}"
+
+
+def _render_table(rows: List[Row], ascii_mode: bool) -> str:
     header = ["URL", *FRAME_LABELS]
     table = [header]
     for url, decisions in rows:
@@ -92,7 +56,7 @@ def _render_table(rows: List[Tuple[str, Dict]], ascii_mode: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_tsv(rows: List[Tuple[str, Dict]], ascii_mode: bool) -> str:
+def _render_tsv(rows: List[Row], ascii_mode: bool) -> str:
     lines = ["\t".join(["URL", *FRAME_LABELS])]
     for url, decisions in rows:
         lines.append("\t".join(
@@ -100,20 +64,16 @@ def _render_tsv(rows: List[Tuple[str, Dict]], ascii_mode: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _frame_key(frame) -> str:
-    return frame.value if frame != GLOBAL else GLOBAL
-
-
-def _render_json(rows: List[Tuple[str, Dict]], ascii_mode: bool) -> str:
+def _render_json(rows: List[Row], ascii_mode: bool) -> str:
     out = []
     for url, decisions in rows:
         frames = {}
         for key in FRAME_KEYS:
             d = decisions[key]
             frames[_frame_key(key)] = {
-                "decision": round(d.decision, 3),
-                "level": d.level.value,
-                "glyph": _glyph(d.level, ascii_mode),
+                "decision": None if d.level is None else round(d.decision, 3),
+                "level": None if d.level is None else d.level.value,
+                "glyph": _glyph(d, ascii_mode),
                 "mass": d.fused.as_dict(),
                 "per_source": {name: m.as_dict()
                                for name, m in d.per_source.items()},
@@ -122,61 +82,51 @@ def _render_json(rows: List[Tuple[str, Dict]], ascii_mode: bool) -> str:
     return "\n".join(out) + "\n"
 
 
+def _render_explain(url: str, d: FrameDecision, ascii_mode: bool) -> str:
+    lines = [f"page {url}  [frame: {_frame_key(d.frame)}]"]
+    for s in d.sources:
+        p, e, m, md = s.parts, s.parts.triple(), s.mass, s.discounted
+        lines += [
+            f"  assessor {s.name} (delta={s.delta})",
+            f"    estimates: accessible {p.num_ac:.4f}/{p.den_ac:.0f} = "
+            f"{e.e_ac:.4f}, not-accessible {p.num_nac:.4f}/{p.den_nac:.0f} = "
+            f"{e.e_nac:.4f}, uncertain {p.num_omega:.4f}/{p.den_omega:.0f} = "
+            f"{e.e_omega:.4f}",
+            f"    masses:     ac={m.ac:.4f} nac={m.nac:.4f} "
+            f"omega={m.omega:.4f}",
+            f"    discounted: ac={md.ac:.4f} nac={md.nac:.4f} "
+            f"omega={md.omega:.4f}"]
+    f = d.fused
+    lines.append(f"  fused: ac={f.ac:.4f} nac={f.nac:.4f} omega={f.omega:.4f} "
+                 f"conflict={f.empty:.4f}")
+    if d.level is None:
+        lines.append("  decision: TOTAL CONFLICT - sources fully contradict "
+                     "each other; no decision value")
+    else:
+        lines.append(f"  decision: {_cell(d, ascii_mode)} ({d.level.value})")
+    return "\n".join(lines) + "\n"
+
+
 def cmd_score(args) -> int:
-    catalog, w = _load_config(args.catalog, args.weights)
-    pages = _read_pages(args.page, catalog)
-    rows = []
-    for reports in pages:
-        decisions = engine.score_page(reports, catalog, w)
-        rows.append((reports[0].url, decisions))
+    catalog, w = load_config(args.catalog, args.weights)
+    rows = [(reports[0].url, engine.score_page(reports, catalog, w))
+            for reports in _read_pages(args.page, catalog)]
     renderer = {"table": _render_table, "tsv": _render_tsv,
                 "json": _render_json}[args.format]
     sys.stdout.write(renderer(rows, args.ascii))
-    return 0
+    conflicts = [f"{url} {_frame_key(k)}" for url, decisions in rows
+                 for k in FRAME_KEYS if decisions[k].level is None]
+    for where in conflicts:
+        print(f"error: total conflict: {where}", file=sys.stderr)
+    return 1 if conflicts else 0
 
 
 def cmd_explain(args) -> int:
-    catalog, w = _load_config(args.catalog, args.weights)
+    catalog, w = load_config(args.catalog, args.weights)
     frame = resolve_frame(args.frame)
-    pages = _read_pages(args.page, catalog)
-    out = sys.stdout
-    for reports in pages:
-        url = reports[0].url
-        if any(r.url != url for r in reports):
-            raise IndicatorError("reports in one page group differ in URL")
-        label = frame.value if frame != GLOBAL else GLOBAL
-        out.write(f"page {url}  [frame: {label}]\n")
-        sources = []
-        for report in reports:
-            parts = estimate_parts(report, frame, catalog, w)
-            e = parts.triple()
-            m = engine.masses_from_estimates(e)
-            md = engine.source_mass(report, frame, catalog, w)
-            sources.append(md)
-            out.write(f"  assessor {report.profile.name} "
-                      f"(delta={report.profile.delta})\n")
-            out.write(f"    estimates: accessible {parts.num_ac:.4f}/"
-                      f"{parts.den_ac:.0f} = {e.e_ac:.4f}, "
-                      f"not-accessible {parts.num_nac:.4f}/"
-                      f"{parts.den_nac:.0f} = {e.e_nac:.4f}, "
-                      f"uncertain {parts.num_omega:.4f}/"
-                      f"{parts.den_omega:.0f} = {e.e_omega:.4f}\n")
-            out.write(f"    masses:     ac={m.ac:.4f} nac={m.nac:.4f} "
-                      f"omega={m.omega:.4f}\n")
-            out.write(f"    discounted: ac={md.ac:.4f} nac={md.nac:.4f} "
-                      f"omega={md.omega:.4f}\n")
-        fused = engine.belief.combine_all(sources)
-        out.write(f"  fused: ac={fused.ac:.4f} nac={fused.nac:.4f} "
-                  f"omega={fused.omega:.4f} conflict={fused.empty:.4f}\n")
-        try:
-            d = pignistic(fused)
-        except TotalConflict:
-            out.write("  decision: TOTAL CONFLICT - sources fully "
-                      "contradict each other; no decision value\n")
-        else:
-            level = engine.discretize(d, w)
-            out.write(f"  decision: {d:.3f} {_glyph(level, args.ascii)} "
-                      f"({level.value})\n")
+    for reports in _read_pages(args.page, catalog):
+        d = engine.score_frame(reports, frame, catalog, w)
+        sys.stdout.write(_render_explain(reports[0].url, d, args.ascii))
     return 0
 
 
@@ -239,7 +189,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (IndicatorError, OSError, json.JSONDecodeError) as exc:
+    except (IndicatorError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

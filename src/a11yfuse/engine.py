@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterable
+from typing import Dict, Iterable, NamedTuple, Optional, Tuple
 
 from . import belief
 from .belief import MassFunction
-from .errors import EmptySourceSet, MixedUrls, OutOfRange
+from .errors import EmptySourceSet, MixedUrls, OutOfRange, TotalConflict
 from .reports import AssessorReport
 from .wcag import (
     GLOBAL,
@@ -95,15 +95,33 @@ _ASCII_GLYPHS = {
 }
 
 
+class SourceResult(NamedTuple):
+    """One assessor's evidence for one frame, under a name unique within
+    the page: estimation parts, normalized mass and discounted mass. Not a
+    frozen dataclass, which costs more to build per source and frame and
+    about 0.9 ms more to define at import."""
+
+    name: str
+    delta: float
+    parts: EstimationParts
+    mass: MassFunction
+    discounted: MassFunction
+
+
 @dataclass(frozen=True)
 class FrameDecision:
-    """Fused evidence and the resulting decision for one frame."""
+    """The whole scoring trace of one frame: every source, the fused mass
+    and the decision. Under total conflict decision and level are None."""
 
     frame: FrameOrGlobal
+    sources: Tuple[SourceResult, ...]
     fused: MassFunction
-    decision: float
-    level: AccessLevel
-    per_source: Dict[str, MassFunction]
+    decision: Optional[float]
+    level: Optional[AccessLevel]
+
+    @property
+    def per_source(self) -> Dict[str, MassFunction]:
+        return {s.name: s.discounted for s in self.sources}
 
 
 def estimate_parts(report: AssessorReport, frame: FrameOrGlobal,
@@ -174,16 +192,10 @@ def discretize(d: float, w: WeightConfig) -> AccessLevel:
     return AccessLevel.VERY_BAD
 
 
-def source_mass(report: AssessorReport, frame: FrameOrGlobal,
-                catalog: CriterionCatalog, w: WeightConfig) -> MassFunction:
-    """One assessor's discounted mass function for one frame."""
-    m = masses_from_estimates(estimate(report, frame, catalog, w))
-    return belief.discount(m, report.profile.delta)
-
-
 def score_frame(reports: Iterable[AssessorReport], frame: FrameOrGlobal,
                 catalog: CriterionCatalog, w: WeightConfig) -> FrameDecision:
-    """Fuse all assessors' evidence for one frame and decide."""
+    """Fuse all assessors' evidence for one frame and decide. A repeated
+    assessor name is made unique by appending #<index in the page>."""
     frame = resolve_frame(frame)
     report_list = list(reports)
     if not report_list:
@@ -192,18 +204,25 @@ def score_frame(reports: Iterable[AssessorReport], frame: FrameOrGlobal,
     if len(urls) > 1:
         raise MixedUrls(f"reports refer to different pages: {sorted(urls)}")
 
-    per_source: Dict[str, MassFunction] = {}
+    sources = []
+    names = set()
     for idx, report in enumerate(report_list):
         name = report.profile.name
-        if name in per_source:
+        if name in names:
             name = f"{name}#{idx}"
-        per_source[name] = source_mass(report, frame, catalog, w)
+        names.add(name)
+        parts = estimate_parts(report, frame, catalog, w)
+        m = masses_from_estimates(parts.triple())
+        sources.append(SourceResult(name, report.profile.delta, parts, m,
+                                    belief.discount(m, report.profile.delta)))
 
-    fused = belief.combine_all(per_source.values())
-    decision = belief.pignistic(fused)
-    return FrameDecision(frame=frame, fused=fused, decision=decision,
-                         level=discretize(decision, w),
-                         per_source=per_source)
+    fused = belief.combine_all(s.discounted for s in sources)
+    try:
+        decision = belief.pignistic(fused)
+    except TotalConflict:
+        return FrameDecision(frame, tuple(sources), fused, None, None)
+    return FrameDecision(frame, tuple(sources), fused, decision,
+                         discretize(decision, w))
 
 
 def score_page(reports: Iterable[AssessorReport], catalog: CriterionCatalog,

@@ -8,6 +8,7 @@ counts at three certainty levels, and the derived total test count.
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 import warnings
@@ -15,20 +16,21 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from .errors import CountInconsistency, SchemaError, UnknownCriterion
-from .wcag import CriterionCatalog, default_catalog
+from .wcag import CriterionCatalog, WeightConfig, default_catalog
 
 FIXTURE_KINDS = ("balanced", "error-heavy", "potential-heavy")
 
 
 @dataclass(frozen=True)
 class AssessorProfile:
-    """Identity and trust parameters of one automatic assessor."""
+    """Identity and trust parameters of one automatic assessor; omitted
+    parameters take WeightConfig's defaults."""
 
     name: str
-    beta_err: float = 1.0
-    beta_likely: float = 0.5
-    beta_potential: float = 1.0
-    delta: float = 1.0
+    beta_err: float = WeightConfig.beta_err
+    beta_likely: float = WeightConfig.beta_likely
+    beta_potential: float = WeightConfig.beta_potential
+    delta: float = WeightConfig.deltas[0]
 
     def __post_init__(self):
         if not self.name:
@@ -102,11 +104,13 @@ def total_tests(report: AssessorReport) -> int:
 
 _OBS_KEYS = ("n_err", "n_ok", "n_likely", "n_potential",
              "t_err", "t_likely", "t_potential")
+_PROFILE_KEYS = ("beta_err", "beta_likely", "beta_potential", "delta")
 
 
 def parse_report(document, catalog: Optional[CriterionCatalog] = None,
                  unknown_criterion: str = "skip") -> AssessorReport:
-    """Parse and validate a canonical report (JSON text or parsed dict).
+    """Parse and validate a canonical report (JSON text, UTF-8 bytes or
+    parsed dict).
 
     Criteria missing from the catalog are skipped with a warning by default;
     pass unknown_criterion="reject" to fail instead. A stored total_tests
@@ -116,9 +120,11 @@ def parse_report(document, catalog: Optional[CriterionCatalog] = None,
         raise ValueError("unknown_criterion must be 'skip' or 'reject'")
     if isinstance(document, (str, bytes)):
         try:
-            document = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"report is not valid JSON: {exc}") from exc
+            document = json.loads(document.decode("utf-8")
+                                  if isinstance(document, bytes) else document)
+        except ValueError as exc:  # bad JSON or bytes that are not UTF-8
+            raise SchemaError(f"report is not valid UTF-8 JSON: {exc}") \
+                from exc
     if not isinstance(document, dict):
         raise SchemaError("report must be a JSON object")
 
@@ -136,10 +142,7 @@ def parse_report(document, catalog: Optional[CriterionCatalog] = None,
     try:
         profile = AssessorProfile(
             name=str(assessor["name"]),
-            beta_err=float(assessor.get("beta_err", 1.0)),
-            beta_likely=float(assessor.get("beta_likely", 0.5)),
-            beta_potential=float(assessor.get("beta_potential", 1.0)),
-            delta=float(assessor.get("delta", 1.0)))
+            **{k: float(assessor[k]) for k in _PROFILE_KEYS if k in assessor})
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad assessor block: {exc}") from exc
 
@@ -176,23 +179,20 @@ def parse_report(document, catalog: Optional[CriterionCatalog] = None,
 
 def serialize_report(report: AssessorReport) -> str:
     """Canonical JSON rendering; parse_report round-trips it exactly."""
-    doc = {
-        "assessor": {
-            "name": report.profile.name,
-            "beta_err": report.profile.beta_err,
-            "beta_likely": report.profile.beta_likely,
-            "beta_potential": report.profile.beta_potential,
-            "delta": report.profile.delta,
-        },
-        "url": report.url,
-        "observations": [
-            {"criterion": o.criterion_id,
-             **{k: getattr(o, k) for k in _OBS_KEYS}}
-            for o in report.observations.values()
-        ],
-        "total_tests": report.total_tests,
-    }
+    observations = []
+    for o in report.observations.values():
+        entry = dict(vars(o))  # the dataclass fields, by name
+        entry["criterion"] = entry.pop("criterion_id")
+        observations.append(entry)
+    doc = {"assessor": vars(report.profile), "url": report.url,
+           "observations": observations, "total_tests": report.total_tests}
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@functools.lru_cache(maxsize=1)
+def _packaged_ids() -> tuple:
+    """Sorted criterion ids of the packaged catalog, read once."""
+    return tuple(sorted(default_catalog()[0].criteria))
 
 
 def generate_fixture(seed: int, profile_kind: str = "balanced") -> str:
@@ -207,12 +207,10 @@ def generate_fixture(seed: int, profile_kind: str = "balanced") -> str:
     if profile_kind not in FIXTURE_KINDS:
         raise ValueError(f"profile_kind must be one of {FIXTURE_KINDS}")
     rng = random.Random(f"{profile_kind}:{seed}")
-    catalog, _ = default_catalog()
-    ids = sorted(catalog.criteria)
-    chosen = sorted(rng.sample(ids, k=rng.randint(18, 32)))
+    chosen = sorted(rng.sample(_packaged_ids(), k=rng.randint(18, 32)))
 
     constant_t_potential = rng.randint(3, 7)
-    observations = []
+    observations = {}
     for cid in chosen:
         t_err = rng.randint(1, 10)
         if profile_kind == "error-heavy":
@@ -232,20 +230,10 @@ def generate_fixture(seed: int, profile_kind: str = "balanced") -> str:
             t_potential = rng.randint(0, 6)
         n_potential = rng.randint(0, t_potential)
         n_ok = rng.randint(t_err - n_err, t_err - n_err + 8)
-        observations.append({
-            "criterion": cid, "n_err": n_err, "n_ok": n_ok,
-            "n_likely": n_likely, "n_potential": n_potential,
-            "t_err": t_err, "t_likely": t_likely,
-            "t_potential": t_potential})
-
-    total = sum(o["n_err"] + o["n_likely"] + o["n_potential"] + o["n_ok"]
-                for o in observations)
-    doc = {
-        "assessor": {"name": f"{profile_kind}-assessor",
-                     "beta_err": 1.0, "beta_likely": 0.5,
-                     "beta_potential": 1.0, "delta": 1.0},
-        "url": f"https://example.test/page-{seed}",
-        "observations": observations,
-        "total_tests": total,
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        observations[cid] = CriterionObservation(
+            cid, n_err=n_err, n_ok=n_ok, n_likely=n_likely,
+            n_potential=n_potential, t_err=t_err, t_likely=t_likely,
+            t_potential=t_potential)
+    return serialize_report(AssessorReport(
+        AssessorProfile(f"{profile_kind}-assessor"),
+        f"https://example.test/page-{seed}", observations))

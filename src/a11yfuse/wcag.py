@@ -53,8 +53,9 @@ def resolve_frame(name: FrameOrGlobal) -> FrameOrGlobal:
 
 @dataclass(frozen=True)
 class WeightConfig:
-    """Conformance-level weights, certainty coefficients, source
-    reliabilities and the four discretization thresholds."""
+    """Conformance-level weights, the four discretization thresholds, and
+    the certainty coefficients and reliability an assessor report falls
+    back to when its assessor block omits them."""
 
     alpha_a: float = 1.0
     alpha_aa: float = 0.8
@@ -153,25 +154,49 @@ def _build_catalog(entries: Iterable[dict], w: WeightConfig) -> CriterionCatalog
     return CriterionCatalog(criteria)
 
 
+_WEIGHT_KEYS = {"a": "alpha_a", "aa": "alpha_aa", "aaa": "alpha_aaa"}
+
+
+def _read_json(path: Union[str, Path], what: str):
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # bad JSON or bytes that are not UTF-8
+        raise SchemaError(f"{what} is not valid UTF-8 JSON: {exc}") from exc
+
+
 def _weights_from_json(doc: dict, base: WeightConfig) -> WeightConfig:
-    kwargs = {}
+    """Apply the level weights under "weights" and the "thresholds" list of
+    a catalog object or weights file; any other weights key is rejected."""
     weights = doc.get("weights", {})
-    mapping = {"a": "alpha_a", "aa": "alpha_aa", "aaa": "alpha_aaa",
-               "beta_err": "beta_err", "beta_likely": "beta_likely",
-               "beta_potential": "beta_potential"}
-    for key, attr in mapping.items():
-        if key in weights:
-            kwargs[attr] = float(weights[key])
-    if "thresholds" in doc:
-        ts = doc["thresholds"]
-        if not (isinstance(ts, (list, tuple)) and len(ts) == 4):
-            raise SchemaError("thresholds must be a list of 4 values")
-        kwargs.update(s1=float(ts[0]), s2=float(ts[1]),
-                      s3=float(ts[2]), s4=float(ts[3]))
+    if not isinstance(weights, dict) or not set(weights) <= set(_WEIGHT_KEYS):
+        raise SchemaError(f"'weights' must be an object with keys among "
+                          f"{sorted(_WEIGHT_KEYS)}, got {weights!r}")
+    ts = doc.get("thresholds", ())
+    if "thresholds" in doc and not (isinstance(ts, (list, tuple))
+                                    and len(ts) == 4):
+        raise SchemaError("thresholds must be a list of 4 values")
+    try:
+        kwargs = {attr: float(weights[key])
+                  for key, attr in _WEIGHT_KEYS.items() if key in weights}
+        kwargs.update(zip(("s1", "s2", "s3", "s4"), map(float, ts)))
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"weights and thresholds must be numbers: {exc}") \
+            from exc
     if not kwargs:
         return base
-    merged = {**base.__dict__, **kwargs}
-    return WeightConfig(**merged)
+    return WeightConfig(**{**base.__dict__, **kwargs})
+
+
+def _split_catalog(doc, base: WeightConfig):
+    """(criterion entries, weights) of a parsed catalog document."""
+    if isinstance(doc, list):
+        return doc, base
+    if isinstance(doc, dict):
+        entries = doc.get("criteria")
+        if not isinstance(entries, (list, tuple)):
+            raise SchemaError("catalog object lacks a 'criteria' array")
+        return entries, _weights_from_json(doc, base)
+    raise SchemaError("catalog must be a JSON array or object")
 
 
 def load_catalog(source: Union[str, Path, dict, list],
@@ -183,22 +208,9 @@ def load_catalog(source: Union[str, Path, dict, list],
     Returns (catalog, effective_weights).
     """
     if isinstance(source, (str, Path)):
-        try:
-            doc = json.loads(Path(source).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"catalog is not valid JSON: {exc}") from exc
-    else:
-        doc = source
-    base = weights or default_weights()
-    if isinstance(doc, list):
-        return _build_catalog(doc, base), base
-    if isinstance(doc, dict):
-        w = _weights_from_json(doc, base)
-        entries = doc.get("criteria")
-        if entries is None:
-            raise SchemaError("catalog object lacks a 'criteria' array")
-        return _build_catalog(entries, w), w
-    raise SchemaError("catalog must be a JSON array or object")
+        source = _read_json(source, "catalog")
+    entries, w = _split_catalog(source, weights or default_weights())
+    return _build_catalog(entries, w), w
 
 
 def default_catalog(weights: Optional[WeightConfig] = None):
@@ -206,3 +218,25 @@ def default_catalog(weights: Optional[WeightConfig] = None):
     data = resources.files(__package__).joinpath("data/wcag20_criteria.json")
     doc = json.loads(data.read_text(encoding="utf-8"))
     return load_catalog(doc, weights)
+
+
+def load_config(catalog_path: Optional[Union[str, Path]] = None,
+                weights_path: Optional[Union[str, Path]] = None):
+    """Catalog and weights from optional files; the packaged catalog when
+    no catalog path is given. A weights file holds only "weights" and
+    "thresholds", and wins over overrides in the catalog file. Returns
+    (catalog, weights); unreadable content raises SchemaError.
+    """
+    entries, w = None, default_weights()
+    if catalog_path:
+        entries, w = _split_catalog(_read_json(catalog_path, "catalog"), w)
+    if weights_path:
+        doc = _read_json(weights_path, "weights file")
+        if not isinstance(doc, dict) or \
+                not set(doc) <= {"weights", "thresholds"}:
+            raise SchemaError("weights file must be an object with keys "
+                              "among 'weights' and 'thresholds'")
+        w = _weights_from_json(doc, w)
+    if entries is None:
+        return default_catalog(w)
+    return _build_catalog(entries, w), w

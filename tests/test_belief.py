@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from a11yfuse.belief import (
     MassFunction,
@@ -148,6 +148,21 @@ class TestPignistic:
         with pytest.raises(TotalConflict):
             pignistic(MassFunction(0, 0, 0, 1))
 
+    def test_conflict_within_normalization_tolerance(self):
+        # sums to 1 within 1e-9 but commits nothing outside the empty set
+        with pytest.raises(TotalConflict):
+            pignistic(MassFunction(0, 0, 0, 1 - 5e-10))
+
+    def test_near_total_conflict_keeps_precision(self):
+        m = MassFunction(0.0, 0.0, 9.99999999e-10, 0.9999999989999999)
+        assert pignistic(m) == 0.5
+
+    def test_certain_source_fused_with_conflict_stays_in_range(self):
+        # the mass behind fixture seed 148's hearing frame, where dividing
+        # by 1 - empty gave 1.0000000000000002
+        m = MassFunction(0.6470171466730731, 0.0, 0.0, 0.35298285332692697)
+        assert pignistic(m) == 1.0
+
 
 class TestProperties:
     @given(masses(with_conflict=True), masses(with_conflict=True))
@@ -179,12 +194,13 @@ class TestProperties:
         assert discount(m, lo).omega >= discount(m, hi).omega - 1e-12
 
     @given(masses(with_conflict=True))
+    @example(MassFunction(0.0, 0.0, 9.99999999e-10, 0.9999999989999999))
     def test_pignistic_bounds_and_complement(self, m):
         if m.empty >= 1 - 1e-9:
             return
         p = pignistic(m)
         assert -1e-12 <= p <= 1 + 1e-12
-        q = (m.nac + m.omega / 2) / (1 - m.empty)
+        q = (m.nac + m.omega / 2) / (m.ac + m.nac + m.omega)
         assert math.isclose(p + q, 1.0, abs_tol=1e-9)
 
     @given(masses(with_conflict=True), masses(with_conflict=True))

@@ -22,6 +22,24 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def write_json(path, doc):
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+@pytest.fixture
+def conflict_pair(tmp_path):
+    """Two one-criterion reports on 1.1.1 (visual and cognitive) that
+    contradict each other with certainty."""
+    base = {"n_ok": 0, "n_err": 0, "n_likely": 0, "n_potential": 0,
+            "t_err": 5, "t_likely": 0, "t_potential": 0}
+    return [write_json(tmp_path / f"{name}.json",
+                       {"assessor": {"name": name}, "url": "u",
+                        "observations": [{"criterion": "1.1.1",
+                                          **{**base, key: 5}}]})
+            for name, key in (("optimist", "n_ok"), ("pessimist", "n_err"))]
+
+
 class TestScore:
     def test_table_layout(self, capsys, fixture_pair):
         code, out, _ = run(capsys, "score", "--page", *fixture_pair)
@@ -150,6 +168,80 @@ class TestScore:
         assert "1.000 ↑" in out
 
 
+class TestTotalConflict:
+    def test_table_marks_cell_and_keeps_other_pages(self, capsys,
+                                                    conflict_pair,
+                                                    fixture_pair):
+        code, out, err = run(capsys, "score", "--page", *conflict_pair,
+                             "--page", *fixture_pair)
+        assert code == 1
+        header, conflicted, other = out.splitlines()
+        assert conflicted.split() == ["u", "conflict", "0.500", "↓",
+                                      "0.500", "↓", "conflict", "conflict"]
+        assert other.startswith("https://example.test/page-7")
+        assert err.splitlines() == ["error: total conflict: u visual",
+                                    "error: total conflict: u cognitive",
+                                    "error: total conflict: u global"]
+
+    def test_tsv_cell(self, capsys, conflict_pair):
+        code, out, _ = run(capsys, "score", "--format", "tsv",
+                           "--page", *conflict_pair)
+        assert code == 1
+        assert out.splitlines()[1].split("\t")[1] == "conflict"
+
+    def test_json_nulls_keep_keys(self, capsys, conflict_pair, fixture_pair):
+        code, out, _ = run(capsys, "score", "--format", "json",
+                           "--page", *conflict_pair, "--page", *fixture_pair)
+        assert code == 1
+        docs = [json.loads(line) for line in out.splitlines()]
+        visual = docs[0]["frames"]["visual"]
+        assert set(visual) == {"decision", "level", "glyph", "mass",
+                               "per_source"}
+        assert (visual["decision"], visual["level"], visual["glyph"]) == \
+            (None, None, None)
+        assert visual["mass"]["empty"] == 1.0
+        assert docs[0]["frames"]["hearing"]["decision"] == 0.5
+        assert docs[1]["frames"]["visual"]["decision"] is not None
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize("doc", [
+        {"weights": {"a": "high"}},
+        [1, 2],
+        {"weights": {"beta_err": 0.1}},
+        {"weights": {"beta_likely": 0.1}},
+        {"weights": {"beta_potential": 0.1}},
+        {"weights": [1]},
+        {"thresholds": [0.1, "x", 0.3, 0.4]},
+        {"beta_err": 0.1},
+        {"criteria": []},
+    ])
+    def test_bad_weights_file_exit_1(self, capsys, tmp_path, fixture_pair,
+                                     doc):
+        wpath = write_json(tmp_path / "w.json", doc)
+        code, out, err = run(capsys, "score", "--weights", wpath,
+                             "--page", *fixture_pair)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    def test_non_utf8_report_exit_1(self, capsys, tmp_path):
+        p = tmp_path / "utf16.json"
+        p.write_bytes(b"\xff\xfe" + '{"url": "u"}'.encode("utf-16-le"))
+        code, _, err = run(capsys, "score", "--page", str(p))
+        assert code == 1
+        assert err.startswith("error: report is not valid UTF-8 JSON")
+
+    def test_non_utf8_weights_file_exit_1(self, capsys, tmp_path,
+                                          fixture_pair):
+        p = tmp_path / "w.json"
+        p.write_bytes(b"\xff\xfe{}")
+        code, _, err = run(capsys, "score", "--weights", str(p),
+                           "--page", *fixture_pair)
+        assert code == 1
+        assert err.startswith("error: weights file is not valid UTF-8 JSON")
+
+
 class TestExplain:
     def test_trace_contents(self, capsys, fixture_pair):
         code, out, _ = run(capsys, "explain", "--frame", "visual",
@@ -190,6 +282,35 @@ class TestExplain:
         assert code == 0
         assert "conflict=1.0000" in out
         assert "TOTAL CONFLICT" in out
+
+    def test_mixed_urls_error_matches_score(self, capsys, tmp_path):
+        paths = []
+        for seed, kind in ((7, "error-heavy"), (8, "potential-heavy")):
+            p = tmp_path / f"report-{kind}-{seed}.json"
+            p.write_text(generate_fixture(seed, kind), encoding="utf-8")
+            paths.append(str(p))
+        code, _, explain_err = run(capsys, "explain", "--frame", "visual",
+                                   "--page", *paths)
+        assert code == 1
+        _, _, score_err = run(capsys, "score", "--page", *paths)
+        assert explain_err == score_err
+        assert "refer to different pages" in explain_err
+
+    def test_duplicate_assessor_names_match_score_json(self, capsys,
+                                                       tmp_path):
+        paths = []
+        for kind in ("error-heavy", "potential-heavy"):
+            doc = json.loads(generate_fixture(7, kind))
+            doc["assessor"]["name"] = "same-tool"
+            paths.append(write_json(tmp_path / f"{kind}.json", doc))
+        _, out, _ = run(capsys, "explain", "--frame", "visual",
+                        "--page", *paths)
+        labels = [line.split()[1] for line in out.splitlines()
+                  if line.startswith("  assessor ")]
+        _, json_out, _ = run(capsys, "score", "--format", "json",
+                             "--page", *paths)
+        per_source = json.loads(json_out)["frames"]["visual"]["per_source"]
+        assert labels == list(per_source) == ["same-tool", "same-tool#1"]
 
     def test_unknown_frame_exit_1(self, capsys, fixture_pair):
         code, _, err = run(capsys, "explain", "--frame", "auditory",

@@ -17,7 +17,7 @@ from a11yfuse.engine import (
     score_page,
 )
 from a11yfuse.errors import EmptySourceSet, MixedUrls, OutOfRange
-from a11yfuse.reports import generate_fixture, parse_report
+from a11yfuse.reports import FIXTURE_KINDS, generate_fixture, parse_report
 from a11yfuse.wcag import (
     GLOBAL,
     DeficiencyFrame,
@@ -206,6 +206,38 @@ class TestScoreFrame:
         d_weak = score_frame([weak], DeficiencyFrame.VISUAL, catalog, w)
         assert d_weak.per_source["tool-a"].omega > d_full.per_source["tool-a"].omega
 
+    def test_trace_matches_the_pipeline_steps(self):
+        catalog, w = one_criterion_catalog()
+        r = report_for(n_ok=8, n_err=2, n_likely=1, t_err=4, t_likely=2,
+                       delta=0.8)
+        d = score_frame([r], DeficiencyFrame.VISUAL, catalog, w)
+        (src,) = d.sources
+        assert (src.name, src.delta) == ("tool-a", 0.8)
+        assert src.parts.triple() == estimate(r, DeficiencyFrame.VISUAL,
+                                              catalog, w)
+        assert src.mass == masses_from_estimates(src.parts.triple())
+        assert src.discounted.isclose(MassFunction(
+            0.8 * src.mass.ac, 0.8 * src.mass.nac,
+            1 - 0.8 * (1 - src.mass.omega)), 1e-15)
+        assert d.fused == src.discounted
+
+    def test_duplicate_names_made_unique(self):
+        catalog, w = one_criterion_catalog()
+        reports = [report_for(n_ok=8, n_err=2, t_err=4),
+                   report_for(n_ok=1, n_err=3, t_err=4)]
+        d = score_frame(reports, DeficiencyFrame.VISUAL, catalog, w)
+        assert [s.name for s in d.sources] == ["tool-a", "tool-a#1"]
+        assert list(d.per_source) == ["tool-a", "tool-a#1"]
+
+    def test_total_conflict_has_no_decision(self):
+        catalog, w = one_criterion_catalog()
+        certain_ok = report_for(n_ok=5, name="optimist")
+        certain_bad = report_for(n_err=5, t_err=5, name="pessimist")
+        d = score_frame([certain_ok, certain_bad], DeficiencyFrame.VISUAL,
+                        catalog, w)
+        assert d.fused.empty == 1.0
+        assert (d.decision, d.level) == (None, None)
+
 
 class TestScorePage:
     def test_five_entries(self):
@@ -239,6 +271,27 @@ class TestScorePage:
             assert abs(got.decision - expected_d) <= 1e-9
             assert got.level.value == expected_level
             assert abs(got.fused.empty - expected_fused[EMPTY]) <= 1e-9
+
+
+class TestFixturePages:
+    def test_seed_148_certain_source_decides_within_range(self):
+        # one source commits fully to "accessible" in the hearing frame;
+        # the pignistic value used to come out at 1.0000000000000002
+        catalog, w = default_catalog()
+        reports = [parse_report(generate_fixture(148, kind), catalog)
+                   for kind in ("error-heavy", "potential-heavy")]
+        hearing = score_page(reports, catalog, w)[DeficiencyFrame.HEARING]
+        assert hearing.decision == 1.0
+        assert hearing.level is AccessLevel.VERY_GOOD
+
+    @given(st.integers(0, 10**6), st.sampled_from(FIXTURE_KINDS),
+           st.sampled_from(FIXTURE_KINDS))
+    def test_score_page_never_raises_on_fixture_pairs(self, seed, k1, k2):
+        catalog, w = default_catalog()
+        reports = [parse_report(generate_fixture(seed, k), catalog)
+                   for k in (k1, k2)]
+        for d in score_page(reports, catalog, w).values():
+            assert d.decision is None or 0.0 <= d.decision <= 1.0
 
 
 class TestMonotonicity:

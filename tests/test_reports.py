@@ -17,7 +17,7 @@ from a11yfuse.reports import (
     serialize_report,
     total_tests,
 )
-from a11yfuse.wcag import default_catalog
+from a11yfuse.wcag import WeightConfig, default_catalog
 
 
 def report_doc(observations, total=None, **assessor_overrides):
@@ -84,6 +84,18 @@ class TestParse:
     def test_bad_coefficient(self):
         with pytest.raises(SchemaError):
             parse_report(report_doc([obs()], beta_err=1.5))
+
+    def test_omitted_coefficients_take_weight_config_defaults(self):
+        doc = report_doc([obs()])
+        doc["assessor"] = {"name": "t"}
+        p = parse_report(doc).profile
+        w = WeightConfig()
+        assert (p.beta_err, p.beta_likely, p.beta_potential, p.delta) == \
+            (w.beta_err, w.beta_likely, w.beta_potential, w.deltas[0])
+
+    def test_non_utf8_bytes(self):
+        with pytest.raises(SchemaError):
+            parse_report(b"\xff\xfe{}")
 
     def test_unknown_criterion_skipped_with_warning(self):
         catalog, _ = default_catalog()

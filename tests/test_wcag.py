@@ -15,6 +15,7 @@ from a11yfuse.wcag import (
     default_catalog,
     default_weights,
     load_catalog,
+    load_config,
     resolve_frame,
 )
 
@@ -150,6 +151,42 @@ class TestLoading:
         path.write_text("{nope")
         with pytest.raises(SchemaError):
             load_catalog(path)
+
+
+class TestLoadConfig:
+    def write(self, tmp_path, name, doc):
+        path = tmp_path / name
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return path
+
+    def test_no_files_is_the_packaged_catalog(self):
+        assert load_config(None, None) == default_catalog()
+
+    def test_weights_file_alone(self, tmp_path):
+        wpath = self.write(tmp_path, "w.json", {"weights": {"aa": 0.7}})
+        catalog, w = load_config(None, wpath)
+        assert w.alpha_aa == 0.7
+        assert catalog.get("1.4.3").alpha == 0.7
+
+    def test_weights_file_wins_over_catalog_overrides(self, tmp_path):
+        cpath = self.write(tmp_path, "c.json", {
+            "criteria": [{"id": "c1", "level": "AA", "frames": ["motor"]}],
+            "weights": {"aa": 0.7}, "thresholds": [0.5, 0.6, 0.7, 0.8]})
+        wpath = self.write(tmp_path, "w.json", {"weights": {"aa": 0.65}})
+        catalog, w = load_config(cpath, wpath)
+        assert catalog.get("c1").alpha == w.alpha_aa == 0.65
+        assert w.thresholds == (0.5, 0.6, 0.7, 0.8)
+
+    def test_catalog_criteria_must_be_an_array(self, tmp_path):
+        cpath = self.write(tmp_path, "c.json", {"criteria": 5})
+        with pytest.raises(SchemaError):
+            load_config(cpath, None)
+
+    def test_not_utf8(self, tmp_path):
+        cpath = tmp_path / "c.json"
+        cpath.write_bytes(b"\xff\xfe[]")
+        with pytest.raises(SchemaError):
+            load_config(cpath, None)
 
 
 class TestCriterionSpec:
