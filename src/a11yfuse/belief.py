@@ -9,7 +9,7 @@ transform divides it back out at decision time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import reduce
 from typing import Iterable, Union
 
@@ -26,27 +26,23 @@ NORM_TOL = 1e-9
 NEG_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class MassFunction:
+class MassFunction(namedtuple("MassFunction", "ac nac omega empty")):
     """Basic belief assignment over {Ac, NotAc, Omega, Empty}."""
 
-    ac: float
-    nac: float
-    omega: float
-    empty: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name, v in (("ac", self.ac), ("nac", self.nac),
-                        ("omega", self.omega), ("empty", self.empty)):
+    def __new__(cls, ac: float, nac: float, omega: float, empty: float = 0.0):
+        for name, v in (("ac", ac), ("nac", nac),
+                        ("omega", omega), ("empty", empty)):
             if v < -NEG_TOL or v > 1.0 + NORM_TOL:
                 raise NegativeMass(f"mass component {name}={v} outside [0, 1]")
-        s = self.ac + self.nac + self.omega + self.empty
+        s = ac + nac + omega + empty
         if abs(s - 1.0) > NORM_TOL:
             raise NotNormalized(f"mass components sum to {s}, expected 1")
+        return tuple.__new__(cls, (ac, nac, omega, empty))
 
     def as_dict(self) -> dict:
-        return {"ac": self.ac, "nac": self.nac,
-                "omega": self.omega, "empty": self.empty}
+        return self._asdict()
 
     def isclose(self, other: "MassFunction", tol: float = NORM_TOL) -> bool:
         return (abs(self.ac - other.ac) <= tol
@@ -55,15 +51,15 @@ class MassFunction:
                 and abs(self.empty - other.empty) <= tol)
 
 
-@dataclass(frozen=True)
-class Reliability:
+class Reliability(namedtuple("Reliability", "delta")):
     """Source reliability coefficient used for discounting."""
 
-    delta: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0.0 <= self.delta <= 1.0:
-            raise OutOfRange(f"reliability {self.delta} outside [0, 1]")
+    def __new__(cls, delta: float):
+        if not 0.0 <= delta <= 1.0:
+            raise OutOfRange(f"reliability {delta} outside [0, 1]")
+        return tuple.__new__(cls, (delta,))
 
 
 def make_mass(ac: float, nac: float, omega: float) -> MassFunction:

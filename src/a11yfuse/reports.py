@@ -12,85 +12,88 @@ import functools
 import json
 import random
 import warnings
-from dataclasses import dataclass, field
+from collections import namedtuple
 from typing import Dict, Optional
 
 from .errors import CountInconsistency, SchemaError, UnknownCriterion
 from .wcag import CriterionCatalog, WeightConfig, default_catalog
 
 FIXTURE_KINDS = ("balanced", "error-heavy", "potential-heavy")
+_DEFAULTS = WeightConfig._field_defaults
 
 
-@dataclass(frozen=True)
-class AssessorProfile:
+class AssessorProfile(namedtuple(
+        "AssessorProfile", "name beta_err beta_likely beta_potential delta")):
     """Identity and trust parameters of one automatic assessor; omitted
     parameters take WeightConfig's defaults."""
 
-    name: str
-    beta_err: float = WeightConfig.beta_err
-    beta_likely: float = WeightConfig.beta_likely
-    beta_potential: float = WeightConfig.beta_potential
-    delta: float = WeightConfig.deltas[0]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.name:
+    def __new__(cls, name: str, beta_err: float = _DEFAULTS["beta_err"],
+                beta_likely: float = _DEFAULTS["beta_likely"],
+                beta_potential: float = _DEFAULTS["beta_potential"],
+                delta: float = _DEFAULTS["delta"]):
+        if not name:
             raise SchemaError("assessor name must be non-empty")
-        for label, v in (("beta_err", self.beta_err),
-                         ("beta_likely", self.beta_likely),
-                         ("beta_potential", self.beta_potential),
-                         ("delta", self.delta)):
+        self = tuple.__new__(cls, (name, beta_err, beta_likely,
+                                   beta_potential, delta))
+        for label, v in zip(_PROFILE_KEYS, self[1:]):
             if not 0.0 <= v <= 1.0:
                 raise SchemaError(f"{label}={v} outside [0, 1]")
+        return self
 
 
-@dataclass(frozen=True)
-class CriterionObservation:
-    """One assessor's counts for one criterion."""
+_PROFILE_KEYS = AssessorProfile._fields[1:]
 
-    criterion_id: str
-    n_err: int = 0
-    n_ok: int = 0
-    n_likely: int = 0
-    n_potential: int = 0
-    t_err: int = 0
-    t_likely: int = 0
-    t_potential: int = 0
 
-    def __post_init__(self):
-        counts = (self.n_err, self.n_ok, self.n_likely, self.n_potential,
-                  self.t_err, self.t_likely, self.t_potential)
-        for v in counts:
-            if not isinstance(v, int) or v < 0:
-                raise SchemaError(
-                    f"criterion {self.criterion_id}: counts must be "
-                    f"non-negative integers, got {v!r}")
-        for n, t, label in ((self.n_err, self.t_err, "errors"),
-                            (self.n_likely, self.t_likely, "likely problems"),
-                            (self.n_potential, self.t_potential,
-                             "potential problems")):
+class CriterionObservation(namedtuple(
+        "CriterionObservation", "criterion_id n_err n_ok n_likely "
+        "n_potential t_err t_likely t_potential")):
+    """One assessor's counts for one criterion. Every count must be a
+    non-negative int (not a bool)."""
+
+    __slots__ = ()
+
+    def __new__(cls, criterion_id: str, n_err: int = 0, n_ok: int = 0,
+                n_likely: int = 0, n_potential: int = 0, t_err: int = 0,
+                t_likely: int = 0, t_potential: int = 0):
+        self = tuple.__new__(cls, (criterion_id, n_err, n_ok, n_likely,
+                                   n_potential, t_err, t_likely, t_potential))
+        for key, v in zip(_OBS_KEYS, self[1:]):
+            if type(v) is not int or v < 0:
+                raise SchemaError(f"criterion {criterion_id}: {key} must be "
+                                  f"a non-negative integer, got {v!r}")
+        for n, t, label in ((n_err, t_err, "errors"),
+                            (n_likely, t_likely, "likely problems"),
+                            (n_potential, t_potential, "potential problems")):
             if n > t:
                 raise CountInconsistency(
-                    f"criterion {self.criterion_id}: {n} {label} observed "
+                    f"criterion {criterion_id}: {n} {label} observed "
                     f"but only {t} applicable tests")
+        return self
 
     @property
     def tests_run(self) -> int:
         return self.n_err + self.n_likely + self.n_potential + self.n_ok
 
 
-@dataclass(frozen=True)
-class AssessorReport:
+_OBS_KEYS = CriterionObservation._fields[1:]
+
+
+class AssessorReport(namedtuple("AssessorReport", "profile url observations")):
     """One assessor's validated evaluation of one page."""
 
-    profile: AssessorProfile
-    url: str
-    observations: Dict[str, CriterionObservation] = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self):
-        for cid, obs in self.observations.items():
+    def __new__(cls, profile: AssessorProfile, url: str,
+                observations: Optional[Dict[str, CriterionObservation]] = None):
+        if observations is None:
+            observations = {}
+        for cid, obs in observations.items():
             if cid != obs.criterion_id:
                 raise SchemaError(f"observation keyed {cid} carries "
                                   f"criterion id {obs.criterion_id}")
+        return tuple.__new__(cls, (profile, url, observations))
 
     @property
     def total_tests(self) -> int:
@@ -100,11 +103,6 @@ class AssessorReport:
 def total_tests(report: AssessorReport) -> int:
     """Total tests run by the assessor, summed over all observations."""
     return sum(o.tests_run for o in report.observations.values())
-
-
-_OBS_KEYS = ("n_err", "n_ok", "n_likely", "n_potential",
-             "t_err", "t_likely", "t_potential")
-_PROFILE_KEYS = ("beta_err", "beta_likely", "beta_potential", "delta")
 
 
 def parse_report(document, catalog: Optional[CriterionCatalog] = None,
@@ -158,14 +156,8 @@ def parse_report(document, catalog: Optional[CriterionCatalog] = None,
                 raise UnknownCriterion(f"criterion {cid} not in catalog")
             warnings.warn(f"skipping unknown criterion {cid}", stacklevel=2)
             continue
-        kwargs = {}
-        for key in _OBS_KEYS:
-            v = entry.get(key, 0)
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise SchemaError(f"criterion {cid}: {key} must be an "
-                                  f"integer, got {v!r}")
-            kwargs[key] = v
-        observations[cid] = CriterionObservation(criterion_id=cid, **kwargs)
+        observations[cid] = CriterionObservation(
+            cid, *[entry.get(key, 0) for key in _OBS_KEYS])
 
     report = AssessorReport(profile=profile, url=url, observations=observations)
     if "total_tests" in document:
@@ -181,10 +173,10 @@ def serialize_report(report: AssessorReport) -> str:
     """Canonical JSON rendering; parse_report round-trips it exactly."""
     observations = []
     for o in report.observations.values():
-        entry = dict(vars(o))  # the dataclass fields, by name
+        entry = o._asdict()
         entry["criterion"] = entry.pop("criterion_id")
         observations.append(entry)
-    doc = {"assessor": vars(report.profile), "url": report.url,
+    doc = {"assessor": report.profile._asdict(), "url": report.url,
            "observations": observations, "total_tests": report.total_tests}
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 

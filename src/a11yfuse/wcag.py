@@ -9,9 +9,8 @@ thresholds from a file.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
 from enum import Enum
-from importlib import resources
 from pathlib import Path
 from typing import Dict, FrozenSet, Iterable, Optional, Union
 
@@ -51,33 +50,30 @@ def resolve_frame(name: FrameOrGlobal) -> FrameOrGlobal:
                            f"visual, hearing, motor, cognitive, global") from None
 
 
-@dataclass(frozen=True)
-class WeightConfig:
+class WeightConfig(namedtuple(
+        "WeightConfig", "alpha_a alpha_aa alpha_aaa beta_err beta_likely "
+        "beta_potential delta s1 s2 s3 s4",
+        defaults=(1.0, 0.8, 0.6, 1.0, 0.5, 1.0, 1.0, 0.6, 0.7, 0.8, 0.9))):
     """Conformance-level weights, the four discretization thresholds, and
     the certainty coefficients and reliability an assessor report falls
-    back to when its assessor block omits them."""
+    back to when its assessor block omits them. The defaults are in
+    WeightConfig._field_defaults."""
 
-    alpha_a: float = 1.0
-    alpha_aa: float = 0.8
-    alpha_aaa: float = 0.6
-    beta_err: float = 1.0
-    beta_likely: float = 0.5
-    beta_potential: float = 1.0
-    deltas: tuple = (1.0, 1.0)
-    s1: float = 0.6
-    s2: float = 0.7
-    s3: float = 0.8
-    s4: float = 0.9
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0.0 < self.alpha_aaa <= self.alpha_aa <= self.alpha_a <= 1.0:
             raise SchemaError("level weights must satisfy "
                               "0 < alpha_aaa <= alpha_aa <= alpha_a <= 1")
         if not 0.0 < self.s1 < self.s2 < self.s3 < self.s4 < 1.0:
             raise SchemaError("thresholds must satisfy 0 < s1 < s2 < s3 < s4 < 1")
-        for b in (self.beta_err, self.beta_likely, self.beta_potential):
+        for b in (self.beta_err, self.beta_likely, self.beta_potential,
+                  self.delta):
             if not 0.0 <= b <= 1.0:
-                raise SchemaError(f"certainty coefficient {b} outside [0, 1]")
+                raise SchemaError(f"certainty coefficient or reliability {b} "
+                                  f"outside [0, 1]")
+        return self
 
     @property
     def thresholds(self) -> tuple:
@@ -86,7 +82,7 @@ class WeightConfig:
 
 def default_weights() -> WeightConfig:
     """The stock constants: alpha=(1, 0.8, 0.6), beta=(1, 0.5, 1),
-    delta=(1, 1), thresholds=(0.6, 0.7, 0.8, 0.9)."""
+    delta=1, thresholds=(0.6, 0.7, 0.8, 0.9)."""
     return WeightConfig()
 
 
@@ -97,27 +93,41 @@ def alpha_for(level: ConformanceLevel, w: WeightConfig) -> float:
             ConformanceLevel.AAA: w.alpha_aaa}[level]
 
 
-@dataclass(frozen=True)
-class CriterionSpec:
+class CriterionSpec(namedtuple("CriterionSpec", "id level frames alpha")):
     """One WCAG success criterion and its frame memberships."""
 
-    id: str
-    level: ConformanceLevel
-    frames: FrozenSet[DeficiencyFrame]
-    alpha: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.frames:
-            raise SchemaError(f"criterion {self.id} belongs to no frame")
-        if not 0.0 < self.alpha <= 1.0:
-            raise SchemaError(f"criterion {self.id} weight outside (0, 1]")
+    def __new__(cls, id: str, level: ConformanceLevel,
+                frames: FrozenSet[DeficiencyFrame], alpha: float):
+        if not frames:
+            raise SchemaError(f"criterion {id} belongs to no frame")
+        if not 0.0 < alpha <= 1.0:
+            raise SchemaError(f"criterion {id} weight outside (0, 1]")
+        return tuple.__new__(cls, (id, level, frames, alpha))
 
 
-@dataclass(frozen=True)
 class CriterionCatalog:
     """Immutable id -> CriterionSpec mapping."""
 
-    criteria: Dict[str, CriterionSpec] = field(default_factory=dict)
+    __slots__ = ("criteria",)
+
+    def __init__(self, criteria: Optional[Dict[str, CriterionSpec]] = None):
+        object.__setattr__(self, "criteria",
+                           {} if criteria is None else criteria)
+
+    def _immutable(self, *args):
+        raise AttributeError("CriterionCatalog is immutable")
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.criteria == other.criteria
+
+    def __repr__(self) -> str:
+        return f"CriterionCatalog(criteria={self.criteria!r})"
 
     def __contains__(self, criterion_id: str) -> bool:
         return criterion_id in self.criteria
@@ -184,7 +194,7 @@ def _weights_from_json(doc: dict, base: WeightConfig) -> WeightConfig:
             from exc
     if not kwargs:
         return base
-    return WeightConfig(**{**base.__dict__, **kwargs})
+    return WeightConfig(**{**base._asdict(), **kwargs})
 
 
 def _split_catalog(doc, base: WeightConfig):
@@ -215,9 +225,8 @@ def load_catalog(source: Union[str, Path, dict, list],
 
 def default_catalog(weights: Optional[WeightConfig] = None):
     """The packaged WCAG 2.0 catalog. Returns (catalog, weights)."""
-    data = resources.files(__package__).joinpath("data/wcag20_criteria.json")
-    doc = json.loads(data.read_text(encoding="utf-8"))
-    return load_catalog(doc, weights)
+    return load_catalog(Path(__file__).parent / "data" / "wcag20_criteria.json",
+                        weights)
 
 
 def load_config(catalog_path: Optional[Union[str, Path]] = None,

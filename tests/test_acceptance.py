@@ -45,7 +45,7 @@ def test_criterion_1_default_constants():
     w = default_weights()
     ok = ((w.alpha_a, w.alpha_aa, w.alpha_aaa) == (1.0, 0.8, 0.6)
           and (w.beta_err, w.beta_likely, w.beta_potential) == (1.0, 0.5, 1.0)
-          and w.deltas == (1.0, 1.0)
+          and w.delta == 1.0
           and w.thresholds == (0.6, 0.7, 0.8, 0.9))
     elapsed = time.perf_counter() - t0
     assert report("1: default constants", ok and elapsed < 1e-3, elapsed)

@@ -215,6 +215,8 @@ class TestConfigErrors:
         {"thresholds": [0.1, "x", 0.3, 0.4]},
         {"beta_err": 0.1},
         {"criteria": []},
+        {"weights": {"a": 0.5, "aa": 0.9}},
+        {"thresholds": [0.9, 0.8, 0.7, 0.6]},
     ])
     def test_bad_weights_file_exit_1(self, capsys, tmp_path, fixture_pair,
                                      doc):

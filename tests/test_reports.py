@@ -91,7 +91,7 @@ class TestParse:
         p = parse_report(doc).profile
         w = WeightConfig()
         assert (p.beta_err, p.beta_likely, p.beta_potential, p.delta) == \
-            (w.beta_err, w.beta_likely, w.beta_potential, w.deltas[0])
+            (w.beta_err, w.beta_likely, w.beta_potential, w.delta)
 
     def test_non_utf8_bytes(self):
         with pytest.raises(SchemaError):

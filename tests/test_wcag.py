@@ -31,7 +31,7 @@ class TestDefaults:
     def test_certainty_and_reliability(self):
         w = default_weights()
         assert (w.beta_err, w.beta_likely, w.beta_potential) == (1.0, 0.5, 1.0)
-        assert w.deltas == (1.0, 1.0)
+        assert w.delta == 1.0
 
     def test_invariants_hold(self):
         w = default_weights()
