@@ -17,7 +17,6 @@ from .engine import (
     FrameDecision,
     SourceResult,
     discretize,
-    estimate,
     masses_from_estimates,
     score_frame,
     score_page,
@@ -33,9 +32,9 @@ from .reports import (
     total_tests,
 )
 from .wcag import (
+    FRAMES,
     GLOBAL,
     ConformanceLevel,
-    CriterionCatalog,
     CriterionSpec,
     DeficiencyFrame,
     WeightConfig,

@@ -41,9 +41,6 @@ class MassFunction(namedtuple("MassFunction", "ac nac omega empty")):
             raise NotNormalized(f"mass components sum to {s}, expected 1")
         return tuple.__new__(cls, (ac, nac, omega, empty))
 
-    def as_dict(self) -> dict:
-        return self._asdict()
-
     def isclose(self, other: "MassFunction", tol: float = NORM_TOL) -> bool:
         return (abs(self.ac - other.ac) <= tol
                 and abs(self.nac - other.nac) <= tol

@@ -7,29 +7,29 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from . import engine
 from .engine import FrameDecision
 from .errors import IndicatorError
 from .reports import (FIXTURE_KINDS, AssessorReport, generate_fixture,
                       parse_report)
-from .wcag import (GLOBAL, FRAME_ORDER, CriterionCatalog, load_config,
-                   resolve_frame)
+from .wcag import FRAMES, GLOBAL, load_config, resolve_frame
 
-FRAME_LABELS = ("Visual", "Hearing", "Motor", "Cognitive", "Global")
-FRAME_KEYS = (*FRAME_ORDER, GLOBAL)
 Row = Tuple[str, Dict[object, FrameDecision]]
 
 
 def _read_pages(page_groups: List[List[str]],
-                catalog: CriterionCatalog) -> List[List[AssessorReport]]:
+                catalog: Mapping) -> List[List[AssessorReport]]:
     return [[parse_report(Path(p).read_bytes(), catalog) for p in group]
             for group in page_groups]
 
 
 def _frame_key(frame) -> str:
     return frame.value if frame != GLOBAL else GLOBAL
+
+
+_HEADER = ("URL", *(_frame_key(f).capitalize() for f in FRAMES))
 
 
 def _glyph(d: FrameDecision, ascii_mode: bool) -> Optional[str]:
@@ -45,22 +45,20 @@ def _cell(d: FrameDecision, ascii_mode: bool) -> str:
 
 
 def _render_table(rows: List[Row], ascii_mode: bool) -> str:
-    header = ["URL", *FRAME_LABELS]
-    table = [header]
+    table = [_HEADER]
     for url, decisions in rows:
-        table.append([url] + [_cell(decisions[k], ascii_mode)
-                              for k in FRAME_KEYS])
-    widths = [max(len(r[i]) for r in table) for i in range(len(header))]
+        table.append([url] + [_cell(decisions[k], ascii_mode) for k in FRAMES])
+    widths = [max(len(r[i]) for r in table) for i in range(len(_HEADER))]
     lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
              for row in table]
     return "\n".join(lines) + "\n"
 
 
 def _render_tsv(rows: List[Row], ascii_mode: bool) -> str:
-    lines = ["\t".join(["URL", *FRAME_LABELS])]
+    lines = ["\t".join(_HEADER)]
     for url, decisions in rows:
         lines.append("\t".join(
-            [url] + [_cell(decisions[k], ascii_mode) for k in FRAME_KEYS]))
+            [url] + [_cell(decisions[k], ascii_mode) for k in FRAMES]))
     return "\n".join(lines) + "\n"
 
 
@@ -68,14 +66,14 @@ def _render_json(rows: List[Row], ascii_mode: bool) -> str:
     out = []
     for url, decisions in rows:
         frames = {}
-        for key in FRAME_KEYS:
+        for key in FRAMES:
             d = decisions[key]
             frames[_frame_key(key)] = {
                 "decision": None if d.level is None else round(d.decision, 3),
                 "level": None if d.level is None else d.level.value,
                 "glyph": _glyph(d, ascii_mode),
-                "mass": d.fused.as_dict(),
-                "per_source": {name: m.as_dict()
+                "mass": d.fused._asdict(),
+                "per_source": {name: m._asdict()
                                for name, m in d.per_source.items()},
             }
         out.append(json.dumps({"url": url, "frames": frames}))
@@ -115,7 +113,7 @@ def cmd_score(args) -> int:
                 "json": _render_json}[args.format]
     sys.stdout.write(renderer(rows, args.ascii))
     conflicts = [f"{url} {_frame_key(k)}" for url, decisions in rows
-                 for k in FRAME_KEYS if decisions[k].level is None]
+                 for k in FRAMES if decisions[k].level is None]
     for where in conflicts:
         print(f"error: total conflict: {where}", file=sys.stderr)
     return 1 if conflicts else 0
@@ -173,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
         "explain", help="trace estimates, masses and fusion for one frame")
     add_common(p_explain)
     p_explain.add_argument("--frame", required=True,
-                           help="visual|hearing|motor|cognitive|global")
+                           help="|".join(map(_frame_key, FRAMES)))
     p_explain.set_defaults(func=cmd_explain)
 
     p_fix = sub.add_parser("fixtures", help="generate synthetic reports")

@@ -11,17 +11,14 @@ from __future__ import annotations
 
 from collections import namedtuple
 from enum import Enum
-from typing import Dict, Iterable
+from typing import Dict, Iterable, Mapping
 
 from . import belief
 from .belief import MassFunction
 from .errors import EmptySourceSet, MixedUrls, OutOfRange, TotalConflict
 from .reports import AssessorReport
 from .wcag import (
-    GLOBAL,
-    CriterionCatalog,
-    DeficiencyFrame,
-    FRAME_ORDER,
+    FRAMES,
     FrameOrGlobal,
     WeightConfig,
     criteria_in_frame,
@@ -71,21 +68,10 @@ class AccessLevel(Enum):
         return _ASCII_GLYPHS[self]
 
 
-_GLYPHS = {
-    AccessLevel.VERY_BAD: "↓",   # down
-    AccessLevel.BAD: "↘",        # down-right
-    AccessLevel.MODERATE: "→",   # right
-    AccessLevel.GOOD: "↗",       # up-right
-    AccessLevel.VERY_GOOD: "↑",  # up
-}
-
-_ASCII_GLYPHS = {
-    AccessLevel.VERY_BAD: "v",
-    AccessLevel.BAD: "\\",
-    AccessLevel.MODERATE: "-",
-    AccessLevel.GOOD: "/",
-    AccessLevel.VERY_GOOD: "^",
-}
+# in AccessLevel order, very bad to very good: down, down-right, right,
+# up-right, up
+_GLYPHS = dict(zip(AccessLevel, "↓↘→↗↑"))
+_ASCII_GLYPHS = dict(zip(AccessLevel, "v\\-/^"))
 
 
 class SourceResult(namedtuple(
@@ -111,10 +97,9 @@ class FrameDecision(namedtuple(
 
 
 def estimate_parts(report: AssessorReport, frame: FrameOrGlobal,
-                   catalog: CriterionCatalog,
-                   w: WeightConfig) -> EstimationParts:
+                   catalog: Mapping) -> EstimationParts:
     """Evidence sums for one frame, with numerators and denominators split
-    out.
+    out; .triple() divides them, a zero denominator giving a zero term.
 
     Correct checkpoints are normalized by the assessor's total test count
     over ALL frames; errors and uncertain problems are normalized by the
@@ -128,7 +113,7 @@ def estimate_parts(report: AssessorReport, frame: FrameOrGlobal,
     for cid, obs in report.observations.items():
         if cid not in frame_ids:
             continue
-        alpha = catalog.criteria[cid].alpha
+        alpha = catalog[cid].alpha
         num_ac += obs.n_ok * alpha
         num_nac += obs.n_err * alpha * p.beta_err
         den_nac += obs.t_err
@@ -138,13 +123,6 @@ def estimate_parts(report: AssessorReport, frame: FrameOrGlobal,
     return EstimationParts(num_ac=num_ac, den_ac=float(report.total_tests),
                            num_nac=num_nac, den_nac=float(den_nac),
                            num_omega=num_omega, den_omega=float(den_omega))
-
-
-def estimate(report: AssessorReport, frame: FrameOrGlobal,
-             catalog: CriterionCatalog, w: WeightConfig) -> EstimationTriple:
-    """Accessibility / non-accessibility / uncertainty estimates for one
-    assessor restricted to one frame. Zero denominators yield zero terms."""
-    return estimate_parts(report, frame, catalog, w).triple()
 
 
 def masses_from_estimates(e: EstimationTriple) -> MassFunction:
@@ -179,7 +157,7 @@ def discretize(d: float, w: WeightConfig) -> AccessLevel:
 
 
 def score_frame(reports: Iterable[AssessorReport], frame: FrameOrGlobal,
-                catalog: CriterionCatalog, w: WeightConfig) -> FrameDecision:
+                catalog: Mapping, w: WeightConfig) -> FrameDecision:
     """Fuse all assessors' evidence for one frame and decide. A repeated
     assessor name is made unique by appending #<index in the page>."""
     frame = resolve_frame(frame)
@@ -197,7 +175,7 @@ def score_frame(reports: Iterable[AssessorReport], frame: FrameOrGlobal,
         if name in names:
             name = f"{name}#{idx}"
         names.add(name)
-        parts = estimate_parts(report, frame, catalog, w)
+        parts = estimate_parts(report, frame, catalog)
         m = masses_from_estimates(parts.triple())
         sources.append(SourceResult(name, report.profile.delta, parts, m,
                                     belief.discount(m, report.profile.delta)))
@@ -211,11 +189,10 @@ def score_frame(reports: Iterable[AssessorReport], frame: FrameOrGlobal,
                          discretize(decision, w))
 
 
-def score_page(reports: Iterable[AssessorReport], catalog: CriterionCatalog,
+def score_page(reports: Iterable[AssessorReport], catalog: Mapping,
                w: WeightConfig) -> Dict[FrameOrGlobal, FrameDecision]:
-    """Decisions for the four deficiency frames plus the global view."""
+    """Decisions for the four deficiency frames plus the global view, keyed
+    in FRAMES order."""
     report_list = list(reports)
-    result: Dict[FrameOrGlobal, FrameDecision] = {}
-    for frame in (*FRAME_ORDER, GLOBAL):
-        result[frame] = score_frame(report_list, frame, catalog, w)
-    return result
+    return {frame: score_frame(report_list, frame, catalog, w)
+            for frame in FRAMES}

@@ -13,10 +13,10 @@ import json
 import random
 import warnings
 from collections import namedtuple
-from typing import Dict, Optional
+from typing import Dict, Mapping, Optional
 
 from .errors import CountInconsistency, SchemaError, UnknownCriterion
-from .wcag import CriterionCatalog, WeightConfig, default_catalog
+from .wcag import WeightConfig, default_catalog
 
 FIXTURE_KINDS = ("balanced", "error-heavy", "potential-heavy")
 _DEFAULTS = WeightConfig._field_defaults
@@ -25,7 +25,8 @@ _DEFAULTS = WeightConfig._field_defaults
 class AssessorProfile(namedtuple(
         "AssessorProfile", "name beta_err beta_likely beta_potential delta")):
     """Identity and trust parameters of one automatic assessor; omitted
-    parameters take WeightConfig's defaults."""
+    parameters take WeightConfig's defaults. Each parameter must be an int
+    or float (not a bool) in [0, 1], and is stored as a float."""
 
     __slots__ = ()
 
@@ -35,12 +36,11 @@ class AssessorProfile(namedtuple(
                 delta: float = _DEFAULTS["delta"]):
         if not name:
             raise SchemaError("assessor name must be non-empty")
-        self = tuple.__new__(cls, (name, beta_err, beta_likely,
-                                   beta_potential, delta))
-        for label, v in zip(_PROFILE_KEYS, self[1:]):
-            if not 0.0 <= v <= 1.0:
-                raise SchemaError(f"{label}={v} outside [0, 1]")
-        return self
+        values = (beta_err, beta_likely, beta_potential, delta)
+        for label, v in zip(_PROFILE_KEYS, values):
+            if type(v) not in (int, float) or not 0.0 <= v <= 1.0:
+                raise SchemaError(f"{label}={v!r} is not a number in [0, 1]")
+        return tuple.__new__(cls, (name, *map(float, values)))
 
 
 _PROFILE_KEYS = AssessorProfile._fields[1:]
@@ -78,6 +78,8 @@ class CriterionObservation(namedtuple(
 
 
 _OBS_KEYS = CriterionObservation._fields[1:]
+_ENTRY_KEYS = frozenset(("criterion", *_OBS_KEYS))
+_ASSESSOR_KEYS = frozenset(("name", *_PROFILE_KEYS))
 
 
 class AssessorReport(namedtuple("AssessorReport", "profile url observations")):
@@ -105,10 +107,17 @@ def total_tests(report: AssessorReport) -> int:
     return sum(o.tests_run for o in report.observations.values())
 
 
-def parse_report(document, catalog: Optional[CriterionCatalog] = None,
+def _unknown_keys(where: str, doc: dict, allowed: frozenset) -> SchemaError:
+    extra = ", ".join(sorted(map(repr, doc.keys() - allowed)))
+    return SchemaError(f"{where}: unknown key(s) {extra}")
+
+
+def parse_report(document, catalog: Optional[Mapping] = None,
                  unknown_criterion: str = "skip") -> AssessorReport:
     """Parse and validate a canonical report (JSON text, UTF-8 bytes or
-    parsed dict).
+    parsed dict). Any key beyond "name" and the four coefficients in the
+    assessor block, or beyond "criterion" and the seven counts in an
+    observation, is a SchemaError.
 
     Criteria missing from the catalog are skipped with a warning by default;
     pass unknown_criterion="reject" to fail instead. A stored total_tests
@@ -137,18 +146,19 @@ def parse_report(document, catalog: Optional[CriterionCatalog] = None,
     if not isinstance(raw_obs, list):
         raise SchemaError("observations must be an array")
 
-    try:
-        profile = AssessorProfile(
-            name=str(assessor["name"]),
-            **{k: float(assessor[k]) for k in _PROFILE_KEYS if k in assessor})
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"bad assessor block: {exc}") from exc
+    if not isinstance(assessor, dict) or "name" not in assessor:
+        raise SchemaError(f"bad assessor block: {assessor!r}")
+    if not _ASSESSOR_KEYS.issuperset(assessor):
+        raise _unknown_keys("assessor block", assessor, _ASSESSOR_KEYS)
+    profile = AssessorProfile(**{**assessor, "name": str(assessor["name"])})
 
     observations: Dict[str, CriterionObservation] = {}
     for entry in raw_obs:
         if not isinstance(entry, dict) or "criterion" not in entry:
             raise SchemaError(f"bad observation entry: {entry!r}")
         cid = str(entry["criterion"])
+        if not _ENTRY_KEYS.issuperset(entry):
+            raise _unknown_keys(f"criterion {cid}", entry, _ENTRY_KEYS)
         if cid in observations:
             raise SchemaError(f"duplicate observation for criterion {cid}")
         if catalog is not None and cid not in catalog:
@@ -184,7 +194,7 @@ def serialize_report(report: AssessorReport) -> str:
 @functools.lru_cache(maxsize=1)
 def _packaged_ids() -> tuple:
     """Sorted criterion ids of the packaged catalog, read once."""
-    return tuple(sorted(default_catalog()[0].criteria))
+    return tuple(sorted(default_catalog()[0]))
 
 
 def generate_fixture(seed: int, profile_kind: str = "balanced") -> str:

@@ -12,7 +12,8 @@ import json
 from collections import namedtuple
 from enum import Enum
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterable, Optional, Union
+from types import MappingProxyType
+from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Union
 
 from .errors import SchemaError, UnknownFrame
 
@@ -35,8 +36,8 @@ GLOBAL = "global"
 
 FrameOrGlobal = Union[DeficiencyFrame, str]
 
-FRAME_ORDER = (DeficiencyFrame.VISUAL, DeficiencyFrame.HEARING,
-               DeficiencyFrame.MOTOR, DeficiencyFrame.COGNITIVE)
+#: The five scored frames in output order: the deficiency frames, then global.
+FRAMES = (*DeficiencyFrame, GLOBAL)
 
 
 def resolve_frame(name: FrameOrGlobal) -> FrameOrGlobal:
@@ -46,8 +47,9 @@ def resolve_frame(name: FrameOrGlobal) -> FrameOrGlobal:
     try:
         return DeficiencyFrame(str(name).lower())
     except ValueError:
+        names = ", ".join(getattr(f, "value", f) for f in FRAMES)
         raise UnknownFrame(f"unknown frame {name!r}; expected one of "
-                           f"visual, hearing, motor, cognitive, global") from None
+                           f"{names}") from None
 
 
 class WeightConfig(namedtuple(
@@ -107,49 +109,17 @@ class CriterionSpec(namedtuple("CriterionSpec", "id level frames alpha")):
         return tuple.__new__(cls, (id, level, frames, alpha))
 
 
-class CriterionCatalog:
-    """Immutable id -> CriterionSpec mapping."""
-
-    __slots__ = ("criteria",)
-
-    def __init__(self, criteria: Optional[Dict[str, CriterionSpec]] = None):
-        object.__setattr__(self, "criteria",
-                           {} if criteria is None else criteria)
-
-    def _immutable(self, *args):
-        raise AttributeError("CriterionCatalog is immutable")
-
-    __setattr__ = __delattr__ = _immutable
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.criteria == other.criteria
-
-    def __repr__(self) -> str:
-        return f"CriterionCatalog(criteria={self.criteria!r})"
-
-    def __contains__(self, criterion_id: str) -> bool:
-        return criterion_id in self.criteria
-
-    def __len__(self) -> int:
-        return len(self.criteria)
-
-    def get(self, criterion_id: str) -> Optional[CriterionSpec]:
-        return self.criteria.get(criterion_id)
-
-
-def criteria_in_frame(catalog: CriterionCatalog,
+def criteria_in_frame(catalog: Mapping[str, CriterionSpec],
                       frame: FrameOrGlobal) -> set:
     """Criteria belonging to one deficiency frame, or all of them for the
     global pseudo-frame."""
     frame = resolve_frame(frame)
     if frame == GLOBAL:
-        return set(catalog.criteria.values())
-    return {c for c in catalog.criteria.values() if frame in c.frames}
+        return set(catalog.values())
+    return {c for c in catalog.values() if frame in c.frames}
 
 
-def _build_catalog(entries: Iterable[dict], w: WeightConfig) -> CriterionCatalog:
+def _build_catalog(entries: Iterable[dict], w: WeightConfig) -> Mapping:
     criteria: Dict[str, CriterionSpec] = {}
     for entry in entries:
         try:
@@ -161,7 +131,7 @@ def _build_catalog(entries: Iterable[dict], w: WeightConfig) -> CriterionCatalog
         if cid in criteria:
             raise SchemaError(f"duplicate criterion id {cid}")
         criteria[cid] = CriterionSpec(cid, level, frames, alpha_for(level, w))
-    return CriterionCatalog(criteria)
+    return MappingProxyType(criteria)
 
 
 _WEIGHT_KEYS = {"a": "alpha_a", "aa": "alpha_aa", "aaa": "alpha_aaa"}
@@ -215,7 +185,8 @@ def load_catalog(source: Union[str, Path, dict, list],
 
     Accepts either a bare array of criterion entries or an object
     {"criteria": [...], "weights": {...}, "thresholds": [...]}.
-    Returns (catalog, effective_weights).
+    Returns (catalog, effective_weights); the catalog is a read-only
+    mapping from criterion id to CriterionSpec.
     """
     if isinstance(source, (str, Path)):
         source = _read_json(source, "catalog")

@@ -227,6 +227,18 @@ class TestConfigErrors:
         assert out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
 
+    def test_misspelled_report_key_exit_1(self, capsys, tmp_path):
+        # five errors under a misspelled key once scored as "very good"
+        path = write_json(tmp_path / "r.json", {
+            "assessor": {"name": "t", "beta_error": 0.1, "delta": True},
+            "url": "u",
+            "observations": [{"criterion": "1.1.1", "n_errs": 5, "t_err": 5,
+                              "n_ok": 1}]})
+        code, out, err = run(capsys, "explain", "--frame", "visual",
+                             "--page", path)
+        assert (code, out) == (1, "")
+        assert err == "error: assessor block: unknown key(s) 'beta_error'\n"
+
     def test_non_utf8_report_exit_1(self, capsys, tmp_path):
         p = tmp_path / "utf16.json"
         p.write_bytes(b"\xff\xfe" + '{"url": "u"}'.encode("utf-16-le"))

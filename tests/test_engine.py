@@ -11,7 +11,7 @@ from a11yfuse.engine import (
     EstimationParts,
     EstimationTriple,
     discretize,
-    estimate,
+    estimate_parts,
     masses_from_estimates,
     score_frame,
     score_page,
@@ -57,7 +57,7 @@ class TestEstimate:
         catalog, w = one_criterion_catalog()
         r = report_for(n_ok=8, n_err=2, n_likely=1,
                        t_err=4, t_likely=2)
-        e = estimate(r, DeficiencyFrame.VISUAL, catalog, w)
+        e = estimate_parts(r, DeficiencyFrame.VISUAL, catalog).triple()
         # total tests = 8 + 2 + 1 = 11
         assert math.isclose(e.e_ac, 8 / 11, abs_tol=1e-12)
         assert math.isclose(e.e_nac, 2 / 4, abs_tol=1e-12)
@@ -66,14 +66,14 @@ class TestEstimate:
     def test_zero_denominators_contribute_zero(self):
         catalog, w = one_criterion_catalog()
         r = report_for(n_ok=5)
-        e = estimate(r, DeficiencyFrame.VISUAL, catalog, w)
+        e = estimate_parts(r, DeficiencyFrame.VISUAL, catalog).triple()
         assert (e.e_nac, e.e_omega) == (0.0, 0.0)
         assert e.e_ac == 1.0
 
     def test_frame_without_criteria_is_all_zero(self):
         catalog, w = one_criterion_catalog()
         r = report_for(n_ok=5, n_err=1, t_err=2)
-        e = estimate(r, DeficiencyFrame.HEARING, catalog, w)
+        e = estimate_parts(r, DeficiencyFrame.HEARING, catalog).triple()
         assert e.total == 0.0
 
     def test_correct_count_normalized_by_all_frames(self):
@@ -96,7 +96,7 @@ class TestEstimate:
             ],
         }
         r = parse_report(doc)
-        e = estimate(r, DeficiencyFrame.VISUAL, catalog, w)
+        e = estimate_parts(r, DeficiencyFrame.VISUAL, catalog).triple()
         assert math.isclose(e.e_ac, 4 / 10, abs_tol=1e-12)
 
 
@@ -213,8 +213,7 @@ class TestScoreFrame:
         d = score_frame([r], DeficiencyFrame.VISUAL, catalog, w)
         (src,) = d.sources
         assert (src.name, src.delta) == ("tool-a", 0.8)
-        assert src.parts.triple() == estimate(r, DeficiencyFrame.VISUAL,
-                                              catalog, w)
+        assert src.parts == estimate_parts(r, DeficiencyFrame.VISUAL, catalog)
         assert src.mass == masses_from_estimates(src.parts.triple())
         assert src.discounted.isclose(MassFunction(
             0.8 * src.mass.ac, 0.8 * src.mass.nac,
@@ -262,7 +261,7 @@ class TestScorePage:
                 json.loads(generate_fixture(7, "potential-heavy"))]
         reports = [parse_report(d, catalog) for d in docs]
         entries = {c.id: (c.alpha, {f.value for f in c.frames})
-                   for c in catalog.criteria.values()}
+                   for c in catalog.values()}
         for frame_name, frame_key in [("visual", DeficiencyFrame.VISUAL),
                                       ("global", GLOBAL)]:
             expected_d, expected_level, expected_fused = pipeline_oracle(
@@ -353,5 +352,5 @@ class TestWeightConsistency:
             }
             r = parse_report(doc)
             masses.append(masses_from_estimates(
-                estimate(r, DeficiencyFrame.VISUAL, catalog, w)))
+                estimate_parts(r, DeficiencyFrame.VISUAL, catalog).triple()))
         assert masses[0].isclose(masses[1], 1e-12)

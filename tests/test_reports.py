@@ -111,6 +111,40 @@ class TestParse:
                          unknown_criterion="reject")
 
 
+class TestUnknownKeys:
+    def test_misspelled_observation_key(self):
+        doc = report_doc([{"criterion": "1.1.1", "n_errs": 5, "t_err": 5,
+                           "n_ok": 1}])
+        with pytest.raises(SchemaError, match="criterion 1.1.1: .*'n_errs'"):
+            parse_report(doc)
+
+    def test_observation_key_rejected_even_when_criterion_skipped(self):
+        catalog, _ = default_catalog()
+        with pytest.raises(SchemaError, match="'t_errr'"):
+            parse_report(report_doc([obs("9.9.9", t_errr=1)]), catalog)
+
+    def test_unknown_assessor_key(self):
+        with pytest.raises(SchemaError, match="assessor block: .*'beta_eror'"):
+            parse_report(report_doc([obs()], beta_eror=0.1))
+
+    @pytest.mark.parametrize("value", [True, False, "0.5", None, [0.5]])
+    def test_coefficient_must_be_a_number(self, value):
+        with pytest.raises(SchemaError, match="delta=.* is not a number"):
+            parse_report(report_doc([obs()], delta=value))
+
+    def test_integer_coefficient_is_a_float(self):
+        p = parse_report(report_doc([obs()], delta=1, beta_err=0)).profile
+        assert (p.delta, p.beta_err) == (1.0, 0.0)
+        assert type(p.delta) is float and type(p.beta_err) is float
+
+    @pytest.mark.parametrize("assessor", [["t"], "t", {"delta": 1.0}])
+    def test_assessor_block_needs_a_name(self, assessor):
+        doc = report_doc([obs()])
+        doc["assessor"] = assessor
+        with pytest.raises(SchemaError, match="bad assessor block"):
+            parse_report(doc)
+
+
 class TestTotalTests:
     def test_empty(self):
         r = AssessorReport(AssessorProfile("t"), "u", {})

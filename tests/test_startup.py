@@ -1,13 +1,14 @@
 """Start-up cost and the immutable value types that keep it low.
 
-The value types are named tuples validated in __new__ (CriterionCatalog is a
-small __slots__ class), so importing the package needs neither dataclasses
-nor importlib.resources and what those pull in.
+The value types are named tuples validated in __new__ and the catalog is a
+read-only mapping, so importing the package needs neither dataclasses nor
+importlib.resources and what those pull in.
 """
 
 import subprocess
 import sys
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 
@@ -32,11 +33,12 @@ from a11yfuse.reports import (
 )
 from a11yfuse.wcag import (
     ConformanceLevel,
-    CriterionCatalog,
     CriterionSpec,
     DeficiencyFrame,
     WeightConfig,
     default_catalog,
+    load_catalog,
+    load_config,
 )
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -69,7 +71,6 @@ INSTANCES = [
     Reliability(0.5),
     WeightConfig(),
     SPEC,
-    CriterionCatalog({"1.1.1": SPEC}),
     AssessorProfile("tool"),
     _obs(),
     AssessorReport(AssessorProfile("tool"), "u", {"1.1.1": _obs()}),
@@ -85,9 +86,8 @@ INSTANCES = [
 @pytest.mark.parametrize("value", INSTANCES,
                          ids=lambda v: type(v).__name__)
 def test_fields_cannot_be_assigned(value):
-    field = getattr(value, "_fields", ("criteria",))[0]
     with pytest.raises(AttributeError):
-        setattr(value, field, None)
+        setattr(value, value._fields[0], None)
     with pytest.raises(AttributeError):
         value.extra = 1
 
@@ -118,7 +118,6 @@ INVALID = [
     (lambda: EstimationParts(1.0, 2.0, 1.0, 2.0, 1.0, 2.0, 3.0), TypeError),
     (lambda: SourceResult("tool", 1.0), TypeError),
     (lambda: FrameDecision(DeficiencyFrame.VISUAL, level=None), TypeError),
-    (lambda: CriterionCatalog(criteria={}, extra=1), TypeError),
 ]
 
 
@@ -137,18 +136,20 @@ def test_keyword_construction_keeps_defaults():
     assert p[1:] == tuple(WeightConfig._field_defaults[k]
                           for k in AssessorProfile._fields[1:])
     assert MassFunction(0.2, 0.3, 0.5) == (0.2, 0.3, 0.5, 0.0)
-    assert make_mass(0.2, 0.3, 0.5).as_dict() == \
+    assert make_mass(0.2, 0.3, 0.5)._asdict() == \
         {"ac": 0.2, "nac": 0.3, "omega": 0.5, "empty": 0.0}
 
 
 def test_empty_defaults_are_not_shared():
-    assert CriterionCatalog().criteria is not CriterionCatalog().criteria
     assert AssessorReport(AssessorProfile("a"), "u").observations is not \
         AssessorReport(AssessorProfile("a"), "u").observations
 
 
-def test_catalog_equality_and_repr():
+def test_catalog_equality_and_read_only():
     catalog = default_catalog()[0]
-    assert catalog == default_catalog()[0]
-    assert catalog != CriterionCatalog()
-    assert repr(CriterionCatalog()) == "CriterionCatalog(criteria={})"
+    assert catalog == default_catalog()[0] == load_config()[0]
+    assert catalog != load_catalog([])[0]
+    for loaded in (catalog, load_config()[0], load_catalog([])[0]):
+        assert type(loaded) is MappingProxyType
+        with pytest.raises(TypeError):
+            loaded["1.1.1"] = SPEC

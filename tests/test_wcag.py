@@ -6,7 +6,6 @@ from a11yfuse.errors import SchemaError, UnknownFrame
 from a11yfuse.wcag import (
     GLOBAL,
     ConformanceLevel,
-    CriterionCatalog,
     CriterionSpec,
     DeficiencyFrame,
     WeightConfig,
@@ -77,7 +76,7 @@ class TestCriteriaInFrame:
         assert {c.id for c in got} == {"c1", "c2"}
 
     def test_empty_catalog(self):
-        assert criteria_in_frame(CriterionCatalog(), DeficiencyFrame.MOTOR) == set()
+        assert criteria_in_frame({}, DeficiencyFrame.MOTOR) == set()
 
     def test_frame_names_resolve(self):
         assert resolve_frame("Visual") is DeficiencyFrame.VISUAL
@@ -100,7 +99,7 @@ class TestDefaultCatalog:
 
     def test_every_criterion_has_a_frame(self):
         catalog, _ = default_catalog()
-        assert all(c.frames for c in catalog.criteria.values())
+        assert all(c.frames for c in catalog.values())
 
     def test_visual_dominates(self):
         # most checkpoints concern visual deficiencies
@@ -110,7 +109,7 @@ class TestDefaultCatalog:
 
     def test_alphas_follow_levels(self):
         catalog, w = default_catalog()
-        for c in catalog.criteria.values():
+        for c in catalog.values():
             assert c.alpha == alpha_for(c.level, w)
 
 
