@@ -3,7 +3,6 @@ into per-deficiency-frame indicators."""
 
 from .belief import (
     MassFunction,
-    Reliability,
     combine_all,
     combine_conjunctive,
     discount,
@@ -29,7 +28,6 @@ from .reports import (
     generate_fixture,
     parse_report,
     serialize_report,
-    total_tests,
 )
 from .wcag import (
     FRAMES,

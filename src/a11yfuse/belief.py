@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import reduce
-from typing import Iterable, Union
+from typing import Iterable
 
 from .errors import (
     ConflictPresent,
@@ -48,17 +48,6 @@ class MassFunction(namedtuple("MassFunction", "ac nac omega empty")):
                 and abs(self.empty - other.empty) <= tol)
 
 
-class Reliability(namedtuple("Reliability", "delta")):
-    """Source reliability coefficient used for discounting."""
-
-    __slots__ = ()
-
-    def __new__(cls, delta: float):
-        if not 0.0 <= delta <= 1.0:
-            raise OutOfRange(f"reliability {delta} outside [0, 1]")
-        return tuple.__new__(cls, (delta,))
-
-
 def make_mass(ac: float, nac: float, omega: float) -> MassFunction:
     """Build a conflict-free mass function from a normalized triple.
 
@@ -80,18 +69,19 @@ def vacuous() -> MassFunction:
     return MassFunction(0.0, 0.0, 1.0, 0.0)
 
 
-def discount(m: MassFunction, r: Union[Reliability, float]) -> MassFunction:
-    """Weaken a source's committed masses by its reliability.
+def discount(m: MassFunction, delta: float) -> MassFunction:
+    """Weaken a source's committed masses by its reliability delta in
+    [0, 1].
 
     The removed mass is transferred to the whole frame. Only conflict-free
     masses may be discounted; discounting happens before fusion.
     """
-    if isinstance(r, (int, float)):
-        r = Reliability(float(r))
+    if not 0.0 <= delta <= 1.0:
+        raise OutOfRange(f"reliability {delta} outside [0, 1]")
     if m.empty > NEG_TOL:
         raise ConflictPresent("cannot discount a mass carrying conflict")
-    d = r.delta
-    return MassFunction(d * m.ac, d * m.nac, 1.0 - d * (1.0 - m.omega), 0.0)
+    return MassFunction(delta * m.ac, delta * m.nac,
+                        1.0 - delta * (1.0 - m.omega), 0.0)
 
 
 def combine_conjunctive(a: MassFunction, b: MassFunction) -> MassFunction:

@@ -102,11 +102,11 @@ def estimate_parts(report: AssessorReport, frame: FrameOrGlobal,
     out; .triple() divides them, a zero denominator giving a zero term.
 
     Correct checkpoints are normalized by the assessor's total test count
-    over ALL frames; errors and uncertain problems are normalized by the
-    frame-restricted test totals. Criteria absent from the report contribute
-    nothing.
+    over ALL frames (report.total_tests); errors and uncertain problems are
+    normalized by the frame-restricted test totals. Only the report's
+    observations whose ids criteria_in_frame returns contribute.
     """
-    frame_ids = {c.id for c in criteria_in_frame(catalog, frame)}
+    frame_ids = criteria_in_frame(catalog, frame)
     p = report.profile
     num_ac = num_nac = num_omega = 0.0
     den_nac = den_omega = 0

@@ -19,21 +19,20 @@ from .errors import CountInconsistency, SchemaError, UnknownCriterion
 from .wcag import WeightConfig, default_catalog
 
 FIXTURE_KINDS = ("balanced", "error-heavy", "potential-heavy")
-_DEFAULTS = WeightConfig._field_defaults
 
 
 class AssessorProfile(namedtuple(
         "AssessorProfile", "name beta_err beta_likely beta_potential delta")):
     """Identity and trust parameters of one automatic assessor; omitted
-    parameters take WeightConfig's defaults. Each parameter must be an int
-    or float (not a bool) in [0, 1], and is stored as a float."""
+    parameters take WeightConfig's class constants. Each parameter must be
+    an int or float (not a bool) in [0, 1], and is stored as a float."""
 
     __slots__ = ()
 
-    def __new__(cls, name: str, beta_err: float = _DEFAULTS["beta_err"],
-                beta_likely: float = _DEFAULTS["beta_likely"],
-                beta_potential: float = _DEFAULTS["beta_potential"],
-                delta: float = _DEFAULTS["delta"]):
+    def __new__(cls, name: str, beta_err: float = WeightConfig.beta_err,
+                beta_likely: float = WeightConfig.beta_likely,
+                beta_potential: float = WeightConfig.beta_potential,
+                delta: float = WeightConfig.delta):
         if not name:
             raise SchemaError("assessor name must be non-empty")
         values = (beta_err, beta_likely, beta_potential, delta)
@@ -49,8 +48,8 @@ _PROFILE_KEYS = AssessorProfile._fields[1:]
 class CriterionObservation(namedtuple(
         "CriterionObservation", "criterion_id n_err n_ok n_likely "
         "n_potential t_err t_likely t_potential")):
-    """One assessor's counts for one criterion. Every count must be a
-    non-negative int (not a bool)."""
+    """One assessor's counts for one criterion. Every count must be an int
+    (not a bool) in [0, 2**53], so that it converts to a float exactly."""
 
     __slots__ = ()
 
@@ -63,6 +62,9 @@ class CriterionObservation(namedtuple(
             if type(v) is not int or v < 0:
                 raise SchemaError(f"criterion {criterion_id}: {key} must be "
                                   f"a non-negative integer, got {v!r}")
+            if v > 2 ** 53:
+                raise SchemaError(f"criterion {criterion_id}: {key} is above "
+                                  f"2**53, the largest exact float count")
         for n, t, label in ((n_err, t_err, "errors"),
                             (n_likely, t_likely, "likely problems"),
                             (n_potential, t_potential, "potential problems")):
@@ -80,10 +82,13 @@ class CriterionObservation(namedtuple(
 _OBS_KEYS = CriterionObservation._fields[1:]
 _ENTRY_KEYS = frozenset(("criterion", *_OBS_KEYS))
 _ASSESSOR_KEYS = frozenset(("name", *_PROFILE_KEYS))
+_REPORT_KEYS = frozenset(("assessor", "url", "observations", "total_tests"))
 
 
-class AssessorReport(namedtuple("AssessorReport", "profile url observations")):
-    """One assessor's validated evaluation of one page."""
+class AssessorReport(namedtuple(
+        "AssessorReport", "profile url observations total_tests")):
+    """One assessor's validated evaluation of one page. total_tests, the
+    tests run summed over all observations, is computed, not passed."""
 
     __slots__ = ()
 
@@ -95,16 +100,8 @@ class AssessorReport(namedtuple("AssessorReport", "profile url observations")):
             if cid != obs.criterion_id:
                 raise SchemaError(f"observation keyed {cid} carries "
                                   f"criterion id {obs.criterion_id}")
-        return tuple.__new__(cls, (profile, url, observations))
-
-    @property
-    def total_tests(self) -> int:
-        return total_tests(self)
-
-
-def total_tests(report: AssessorReport) -> int:
-    """Total tests run by the assessor, summed over all observations."""
-    return sum(o.tests_run for o in report.observations.values())
+        return tuple.__new__(cls, (profile, url, observations, sum(
+            o.tests_run for o in observations.values())))
 
 
 def _unknown_keys(where: str, doc: dict, allowed: frozenset) -> SchemaError:
@@ -115,9 +112,10 @@ def _unknown_keys(where: str, doc: dict, allowed: frozenset) -> SchemaError:
 def parse_report(document, catalog: Optional[Mapping] = None,
                  unknown_criterion: str = "skip") -> AssessorReport:
     """Parse and validate a canonical report (JSON text, UTF-8 bytes or
-    parsed dict). Any key beyond "name" and the four coefficients in the
-    assessor block, or beyond "criterion" and the seven counts in an
-    observation, is a SchemaError.
+    parsed dict). Any top-level key beyond "assessor", "url",
+    "observations" and "total_tests", any key beyond "name" and the four
+    coefficients in the assessor block, or beyond "criterion" and the seven
+    counts in an observation, is a SchemaError.
 
     Criteria missing from the catalog are skipped with a warning by default;
     pass unknown_criterion="reject" to fail instead. A stored total_tests
@@ -134,6 +132,8 @@ def parse_report(document, catalog: Optional[Mapping] = None,
                 from exc
     if not isinstance(document, dict):
         raise SchemaError("report must be a JSON object")
+    if not _REPORT_KEYS.issuperset(document):
+        raise _unknown_keys("report", document, _REPORT_KEYS)
 
     try:
         assessor = document["assessor"]

@@ -53,15 +53,14 @@ def resolve_frame(name: FrameOrGlobal) -> FrameOrGlobal:
 
 
 class WeightConfig(namedtuple(
-        "WeightConfig", "alpha_a alpha_aa alpha_aaa beta_err beta_likely "
-        "beta_potential delta s1 s2 s3 s4",
-        defaults=(1.0, 0.8, 0.6, 1.0, 0.5, 1.0, 1.0, 0.6, 0.7, 0.8, 0.9))):
-    """Conformance-level weights, the four discretization thresholds, and
-    the certainty coefficients and reliability an assessor report falls
-    back to when its assessor block omits them. The defaults are in
-    WeightConfig._field_defaults."""
+        "WeightConfig", "alpha_a alpha_aa alpha_aaa s1 s2 s3 s4",
+        defaults=(1.0, 0.8, 0.6, 0.6, 0.7, 0.8, 0.9))):
+    """Conformance-level weights and the four discretization thresholds.
+    The class constants are the certainty coefficients and reliability an
+    assessor report falls back to when its assessor block omits them."""
 
     __slots__ = ()
+    beta_err, beta_likely, beta_potential, delta = 1.0, 0.5, 1.0, 1.0
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
@@ -70,11 +69,6 @@ class WeightConfig(namedtuple(
                               "0 < alpha_aaa <= alpha_aa <= alpha_a <= 1")
         if not 0.0 < self.s1 < self.s2 < self.s3 < self.s4 < 1.0:
             raise SchemaError("thresholds must satisfy 0 < s1 < s2 < s3 < s4 < 1")
-        for b in (self.beta_err, self.beta_likely, self.beta_potential,
-                  self.delta):
-            if not 0.0 <= b <= 1.0:
-                raise SchemaError(f"certainty coefficient or reliability {b} "
-                                  f"outside [0, 1]")
         return self
 
     @property
@@ -111,12 +105,12 @@ class CriterionSpec(namedtuple("CriterionSpec", "id level frames alpha")):
 
 def criteria_in_frame(catalog: Mapping[str, CriterionSpec],
                       frame: FrameOrGlobal) -> set:
-    """Criteria belonging to one deficiency frame, or all of them for the
-    global pseudo-frame."""
+    """Ids of the criteria belonging to one deficiency frame, or of all of
+    them for the global pseudo-frame."""
     frame = resolve_frame(frame)
     if frame == GLOBAL:
-        return set(catalog.values())
-    return {c for c in catalog.values() if frame in c.frames}
+        return set(catalog)
+    return {cid for cid, c in catalog.items() if frame in c.frames}
 
 
 def _build_catalog(entries: Iterable[dict], w: WeightConfig) -> Mapping:

@@ -5,7 +5,6 @@ from hypothesis import example, given, strategies as st
 
 from a11yfuse.belief import (
     MassFunction,
-    Reliability,
     combine_all,
     combine_conjunctive,
     discount,
@@ -76,31 +75,27 @@ class TestVacuous:
 class TestDiscount:
     def test_full_reliability_is_identity(self):
         m = make_mass(0.5, 0.3, 0.2)
-        assert discount(m, Reliability(1.0)).isclose(m, 1e-12)
+        assert discount(m, 1.0).isclose(m, 1e-12)
 
     def test_partial_reliability(self):
         # 0.9 * 0.5 = 0.45, 0.9 * 0.3 = 0.27, 1 - 0.9 * (1 - 0.2) = 0.28
-        m = discount(make_mass(0.5, 0.3, 0.2), Reliability(0.9))
+        m = discount(make_mass(0.5, 0.3, 0.2), 0.9)
         assert m.isclose(MassFunction(0.45, 0.27, 0.28), 1e-12)
 
     def test_zero_reliability_yields_vacuous(self):
-        m = discount(make_mass(0.7, 0.3, 0.0), Reliability(0.0))
+        m = discount(make_mass(0.7, 0.3, 0.0), 0.0)
         assert m.isclose(vacuous(), 1e-12)
 
     def test_rejects_conflict(self):
         conflicted = MassFunction(0.3, 0.3, 0.2, 0.2)
         with pytest.raises(ConflictPresent):
-            discount(conflicted, Reliability(0.5))
+            discount(conflicted, 0.5)
 
     def test_reliability_range(self):
         with pytest.raises(OutOfRange):
-            Reliability(1.2)
+            discount(vacuous(), 1.2)
         with pytest.raises(OutOfRange):
-            Reliability(-0.1)
-
-    def test_accepts_plain_float(self):
-        m = make_mass(0.5, 0.3, 0.2)
-        assert discount(m, 0.9).isclose(discount(m, Reliability(0.9)), 0)
+            discount(vacuous(), -0.1)
 
 
 class TestCombine:

@@ -239,6 +239,24 @@ class TestConfigErrors:
         assert (code, out) == (1, "")
         assert err == "error: assessor block: unknown key(s) 'beta_error'\n"
 
+    def test_misspelled_top_level_key_exit_1(self, capsys, tmp_path):
+        path = write_json(tmp_path / "r.json", {
+            "assessor": {"name": "t"}, "url": "u", "total_test": 99,
+            "observations": [{"criterion": "1.1.1", "n_ok": 3}]})
+        code, out, err = run(capsys, "score", "--page", path)
+        assert (code, out) == (1, "")
+        assert err == "error: report: unknown key(s) 'total_test'\n"
+
+    def test_count_too_large_for_a_float_exit_1(self, capsys, tmp_path):
+        # 10**400 once ended in an OverflowError traceback while scoring
+        path = write_json(tmp_path / "r.json", {
+            "assessor": {"name": "t"}, "url": "u",
+            "observations": [{"criterion": "1.1.1", "n_ok": 10 ** 400}]})
+        code, out, err = run(capsys, "score", "--page", path)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: criterion 1.1.1: n_ok is above 2**53")
+        assert len(err.splitlines()) == 1
+
     def test_non_utf8_report_exit_1(self, capsys, tmp_path):
         p = tmp_path / "utf16.json"
         p.write_bytes(b"\xff\xfe" + '{"url": "u"}'.encode("utf-16-le"))

@@ -334,9 +334,8 @@ class TestWeightConsistency:
     def test_alpha_cancels_for_single_criterion_frames(self):
         # with unit certainty coefficients every estimate is proportional
         # to the criterion weight, so the normalized masses cannot move
-        base = WeightConfig(beta_likely=1.0)
-        small = WeightConfig(alpha_a=0.5, alpha_aa=0.4, alpha_aaa=0.3,
-                             beta_likely=1.0)
+        base = WeightConfig()
+        small = WeightConfig(alpha_a=0.5, alpha_aa=0.4, alpha_aaa=0.3)
         r = None
         masses = []
         for weights in (base, small):

@@ -1,6 +1,7 @@
 """Rendered bytes pinned by hash: every score format and every explain frame
 over 53 two-assessor fixture pages, including the three seeds (148, 359,
-987) whose hearing frame once overshot 1.0. A refactor that keeps output
+987) whose hearing frame once overshot 1.0, and the generated fixture
+reports of every kind for those seeds. A refactor that keeps output
 byte-identical keeps these hashes; a change that alters output on purpose
 records the new hashes and says why."""
 
@@ -52,6 +53,17 @@ GOLDEN = {
 }
 
 
+# sha256 of the generate_fixture output for SEEDS, concatenated, per kind.
+FIXTURE_GOLDEN = {
+    "balanced":
+        "35b9cb21ed71c29b4b5f20f866fa4c6e37ba6af579169e1037a83482f25311c6",
+    "error-heavy":
+        "f2cfb1e39ac552759c38815ba2a9074e6f04a473ab8cfadd38c1e3057ea40339",
+    "potential-heavy":
+        "0418843b3fa4882d1b6b74424a7c3453d8f0bbcd3f139a42f0cfc8e6cac6ca34",
+}
+
+
 @pytest.fixture(scope="module")
 def page_args(tmp_path_factory):
     out = tmp_path_factory.mktemp("golden")
@@ -76,3 +88,10 @@ def test_rendered_bytes_unchanged(rendering, page_args, capsys):
     got = (_sha(captured.out), _sha(captured.err), code)
     assert got == GOLDEN[rendering], \
         f"{rendering}: rendered output differs from the pinned bytes"
+
+
+@pytest.mark.parametrize("kind", FIXTURE_GOLDEN)
+def test_fixture_bytes_unchanged(kind):
+    got = _sha("".join(generate_fixture(seed, kind) for seed in SEEDS))
+    assert got == FIXTURE_GOLDEN[kind], \
+        f"{kind}: generated fixture reports differ from the pinned bytes"

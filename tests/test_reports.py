@@ -15,7 +15,6 @@ from a11yfuse.reports import (
     generate_fixture,
     parse_report,
     serialize_report,
-    total_tests,
 )
 from a11yfuse.wcag import WeightConfig, default_catalog
 
@@ -77,6 +76,13 @@ class TestParse:
         with pytest.raises(SchemaError):
             parse_report(report_doc([obs(n_ok=1.5)]))
 
+    def test_count_bound_is_2_pow_53(self):
+        # the largest integer a float holds exactly; counts become floats
+        r = parse_report(report_doc([obs(n_ok=2 ** 53)]))
+        assert r.total_tests == 2 ** 53
+        with pytest.raises(SchemaError, match="n_ok is above 2\\*\\*53"):
+            parse_report(report_doc([obs(n_ok=2 ** 53 + 1)]))
+
     def test_duplicate_criterion(self):
         with pytest.raises(SchemaError):
             parse_report(report_doc([obs("1.1.1"), obs("1.1.1")]))
@@ -123,6 +129,13 @@ class TestUnknownKeys:
         with pytest.raises(SchemaError, match="'t_errr'"):
             parse_report(report_doc([obs("9.9.9", t_errr=1)]), catalog)
 
+    def test_unknown_top_level_key(self):
+        # a misspelled stored total once bypassed the total_tests guard
+        doc = report_doc([obs(n_ok=3)])
+        doc["total_test"] = 99
+        with pytest.raises(SchemaError, match="^report: .*'total_test'$"):
+            parse_report(doc)
+
     def test_unknown_assessor_key(self):
         with pytest.raises(SchemaError, match="assessor block: .*'beta_eror'"):
             parse_report(report_doc([obs()], beta_eror=0.1))
@@ -148,12 +161,12 @@ class TestUnknownKeys:
 class TestTotalTests:
     def test_empty(self):
         r = AssessorReport(AssessorProfile("t"), "u", {})
-        assert total_tests(r) == 0
+        assert r.total_tests == 0
 
     def test_all_zero(self):
         r = AssessorReport(AssessorProfile("t"), "u",
                            {"1.1.1": CriterionObservation("1.1.1")})
-        assert total_tests(r) == 0
+        assert r.total_tests == 0
 
 
 class TestRoundTrip:

@@ -12,7 +12,7 @@ from types import MappingProxyType
 
 import pytest
 
-from a11yfuse.belief import MassFunction, Reliability, make_mass
+from a11yfuse.belief import MassFunction, discount, make_mass, vacuous
 from a11yfuse.engine import (
     EstimationParts,
     EstimationTriple,
@@ -68,7 +68,6 @@ SPEC = CriterionSpec("1.1.1", ConformanceLevel.A,
 
 INSTANCES = [
     MassFunction(0.2, 0.3, 0.5),
-    Reliability(0.5),
     WeightConfig(),
     SPEC,
     AssessorProfile("tool"),
@@ -95,11 +94,11 @@ def test_fields_cannot_be_assigned(value):
 INVALID = [
     (lambda: MassFunction(-0.1, 0.6, 0.5), NegativeMass),
     (lambda: MassFunction(0.2, 0.2, 0.2), NotNormalized),
-    (lambda: Reliability(1.5), OutOfRange),
+    (lambda: discount(vacuous(), 1.5), OutOfRange),
     (lambda: WeightConfig(alpha_a=0.5, alpha_aa=0.9), SchemaError),
     (lambda: WeightConfig(s1=0.9, s4=0.6), SchemaError),
-    (lambda: WeightConfig(beta_likely=-0.1), SchemaError),
-    (lambda: WeightConfig(delta=1.5), SchemaError),
+    (lambda: WeightConfig(beta_likely=-0.1), TypeError),
+    (lambda: WeightConfig(delta=1.5), TypeError),
     (lambda: CriterionSpec("1.1.1", ConformanceLevel.A, frozenset(), 1.0),
      SchemaError),
     (lambda: CriterionSpec("1.1.1", ConformanceLevel.A,
@@ -118,6 +117,7 @@ INVALID = [
     (lambda: EstimationParts(1.0, 2.0, 1.0, 2.0, 1.0, 2.0, 3.0), TypeError),
     (lambda: SourceResult("tool", 1.0), TypeError),
     (lambda: FrameDecision(DeficiencyFrame.VISUAL, level=None), TypeError),
+    (lambda: AssessorReport(AssessorProfile("tool"), "u", {}, 3), TypeError),
 ]
 
 
@@ -133,7 +133,7 @@ def test_keyword_construction_keeps_defaults():
     w = WeightConfig(**{**WeightConfig()._asdict(), "alpha_aaa": 0.5})
     assert w.alpha_aaa == 0.5 and w.thresholds == (0.6, 0.7, 0.8, 0.9)
     p = AssessorProfile("tool")
-    assert p[1:] == tuple(WeightConfig._field_defaults[k]
+    assert p[1:] == tuple(getattr(WeightConfig, k)
                           for k in AssessorProfile._fields[1:])
     assert MassFunction(0.2, 0.3, 0.5) == (0.2, 0.3, 0.5, 0.0)
     assert make_mass(0.2, 0.3, 0.5)._asdict() == \

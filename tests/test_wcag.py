@@ -69,11 +69,11 @@ def small_catalog():
 class TestCriteriaInFrame:
     def test_concrete_frame(self):
         got = criteria_in_frame(small_catalog(), DeficiencyFrame.VISUAL)
-        assert {c.id for c in got} == {"c1"}
+        assert got == {"c1"}
 
     def test_global_returns_all(self):
         got = criteria_in_frame(small_catalog(), GLOBAL)
-        assert {c.id for c in got} == {"c1", "c2"}
+        assert got == {"c1", "c2"}
 
     def test_empty_catalog(self):
         assert criteria_in_frame({}, DeficiencyFrame.MOTOR) == set()
