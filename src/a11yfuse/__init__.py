@@ -38,9 +38,6 @@ from .wcag import (
     WeightConfig,
     alpha_for,
     criteria_in_frame,
-    default_catalog,
-    default_weights,
-    load_catalog,
     load_config,
 )
 

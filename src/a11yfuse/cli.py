@@ -44,10 +44,14 @@ def _cell(d: FrameDecision, ascii_mode: bool) -> str:
     return f"{d.decision:.3f} {_glyph(d, ascii_mode)}"
 
 
+def _text_rows(rows: List[Row], ascii_mode: bool) -> List[tuple]:
+    """The header, then one row of text cells per page."""
+    return [_HEADER] + [(url, *(_cell(d[k], ascii_mode) for k in FRAMES))
+                        for url, d in rows]
+
+
 def _render_table(rows: List[Row], ascii_mode: bool) -> str:
-    table = [_HEADER]
-    for url, decisions in rows:
-        table.append([url] + [_cell(decisions[k], ascii_mode) for k in FRAMES])
+    table = _text_rows(rows, ascii_mode)
     widths = [max(len(r[i]) for r in table) for i in range(len(_HEADER))]
     lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
              for row in table]
@@ -55,11 +59,7 @@ def _render_table(rows: List[Row], ascii_mode: bool) -> str:
 
 
 def _render_tsv(rows: List[Row], ascii_mode: bool) -> str:
-    lines = ["\t".join(_HEADER)]
-    for url, decisions in rows:
-        lines.append("\t".join(
-            [url] + [_cell(decisions[k], ascii_mode) for k in FRAMES]))
-    return "\n".join(lines) + "\n"
+    return "\n".join(map("\t".join, _text_rows(rows, ascii_mode))) + "\n"
 
 
 def _render_json(rows: List[Row], ascii_mode: bool) -> str:

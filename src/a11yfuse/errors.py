@@ -37,10 +37,6 @@ class CountInconsistency(IndicatorError):
     """Observed defect counts exceed the number of applicable tests."""
 
 
-class UnknownCriterion(IndicatorError):
-    """A report references a criterion absent from the catalog."""
-
-
 class MixedUrls(IndicatorError):
     """Reports grouped as one page refer to different URLs."""
 

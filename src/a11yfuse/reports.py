@@ -15,8 +15,8 @@ import warnings
 from collections import namedtuple
 from typing import Dict, Mapping, Optional
 
-from .errors import CountInconsistency, SchemaError, UnknownCriterion
-from .wcag import WeightConfig, default_catalog
+from .errors import CountInconsistency, SchemaError
+from .wcag import WeightConfig, _unknown_keys, load_config
 
 FIXTURE_KINDS = ("balanced", "error-heavy", "potential-heavy")
 
@@ -104,25 +104,18 @@ class AssessorReport(namedtuple(
             o.tests_run for o in observations.values())))
 
 
-def _unknown_keys(where: str, doc: dict, allowed: frozenset) -> SchemaError:
-    extra = ", ".join(sorted(map(repr, doc.keys() - allowed)))
-    return SchemaError(f"{where}: unknown key(s) {extra}")
-
-
-def parse_report(document, catalog: Optional[Mapping] = None,
-                 unknown_criterion: str = "skip") -> AssessorReport:
+def parse_report(document,
+                 catalog: Optional[Mapping] = None) -> AssessorReport:
     """Parse and validate a canonical report (JSON text, UTF-8 bytes or
     parsed dict). Any top-level key beyond "assessor", "url",
     "observations" and "total_tests", any key beyond "name" and the four
     coefficients in the assessor block, or beyond "criterion" and the seven
     counts in an observation, is a SchemaError.
 
-    Criteria missing from the catalog are skipped with a warning by default;
-    pass unknown_criterion="reject" to fail instead. A stored total_tests
-    field must match the recomputed sum (corruption guard) or be absent.
+    Criteria missing from the catalog are skipped with a warning. A stored
+    total_tests field must match the recomputed sum (corruption guard) or
+    be absent.
     """
-    if unknown_criterion not in ("skip", "reject"):
-        raise ValueError("unknown_criterion must be 'skip' or 'reject'")
     if isinstance(document, (str, bytes)):
         try:
             document = json.loads(document.decode("utf-8")
@@ -162,8 +155,6 @@ def parse_report(document, catalog: Optional[Mapping] = None,
         if cid in observations:
             raise SchemaError(f"duplicate observation for criterion {cid}")
         if catalog is not None and cid not in catalog:
-            if unknown_criterion == "reject":
-                raise UnknownCriterion(f"criterion {cid} not in catalog")
             warnings.warn(f"skipping unknown criterion {cid}", stacklevel=2)
             continue
         observations[cid] = CriterionObservation(
@@ -194,7 +185,7 @@ def serialize_report(report: AssessorReport) -> str:
 @functools.lru_cache(maxsize=1)
 def _packaged_ids() -> tuple:
     """Sorted criterion ids of the packaged catalog, read once."""
-    return tuple(sorted(default_catalog()[0]))
+    return tuple(sorted(load_config()[0]))
 
 
 def generate_fixture(seed: int, profile_kind: str = "balanced") -> str:

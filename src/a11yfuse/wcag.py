@@ -76,12 +76,6 @@ class WeightConfig(namedtuple(
         return (self.s1, self.s2, self.s3, self.s4)
 
 
-def default_weights() -> WeightConfig:
-    """The stock constants: alpha=(1, 0.8, 0.6), beta=(1, 0.5, 1),
-    delta=1, thresholds=(0.6, 0.7, 0.8, 0.9)."""
-    return WeightConfig()
-
-
 def alpha_for(level: ConformanceLevel, w: WeightConfig) -> float:
     """Weight attached to a criterion's conformance level."""
     return {ConformanceLevel.A: w.alpha_a,
@@ -113,6 +107,17 @@ def criteria_in_frame(catalog: Mapping[str, CriterionSpec],
     return {cid for cid, c in catalog.items() if frame in c.frames}
 
 
+def _unknown_keys(where: str, doc: dict, allowed: frozenset) -> SchemaError:
+    extra = ", ".join(sorted(map(repr, doc.keys() - allowed)))
+    return SchemaError(f"{where}: unknown key(s) {extra}")
+
+
+_CATALOG_KEYS = frozenset(("criteria", "weights", "thresholds"))
+_CRITERION_KEYS = frozenset(("id", "level", "frames"))
+_WEIGHT_KEYS = {"a": "alpha_a", "aa": "alpha_aa", "aaa": "alpha_aaa"}
+_PACKAGED = Path(__file__).parent / "data" / "wcag20_criteria.json"
+
+
 def _build_catalog(entries: Iterable[dict], w: WeightConfig) -> Mapping:
     criteria: Dict[str, CriterionSpec] = {}
     for entry in entries:
@@ -122,13 +127,12 @@ def _build_catalog(entries: Iterable[dict], w: WeightConfig) -> Mapping:
             frames = frozenset(DeficiencyFrame(f) for f in entry["frames"])
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad catalog entry {entry!r}: {exc}") from exc
+        if not _CRITERION_KEYS.issuperset(entry):
+            raise _unknown_keys(f"criterion {cid}", entry, _CRITERION_KEYS)
         if cid in criteria:
             raise SchemaError(f"duplicate criterion id {cid}")
         criteria[cid] = CriterionSpec(cid, level, frames, alpha_for(level, w))
     return MappingProxyType(criteria)
-
-
-_WEIGHT_KEYS = {"a": "alpha_a", "aa": "alpha_aa", "aaa": "alpha_aaa"}
 
 
 def _read_json(path: Union[str, Path], what: str):
@@ -140,7 +144,8 @@ def _read_json(path: Union[str, Path], what: str):
 
 def _weights_from_json(doc: dict, base: WeightConfig) -> WeightConfig:
     """Apply the level weights under "weights" and the "thresholds" list of
-    a catalog object or weights file; any other weights key is rejected."""
+    a catalog object or weights file; any other weights key, and any value
+    that is not an int or float (a bool is not), is rejected."""
     weights = doc.get("weights", {})
     if not isinstance(weights, dict) or not set(weights) <= set(_WEIGHT_KEYS):
         raise SchemaError(f"'weights' must be an object with keys among "
@@ -149,68 +154,51 @@ def _weights_from_json(doc: dict, base: WeightConfig) -> WeightConfig:
     if "thresholds" in doc and not (isinstance(ts, (list, tuple))
                                     and len(ts) == 4):
         raise SchemaError("thresholds must be a list of 4 values")
-    try:
-        kwargs = {attr: float(weights[key])
-                  for key, attr in _WEIGHT_KEYS.items() if key in weights}
-        kwargs.update(zip(("s1", "s2", "s3", "s4"), map(float, ts)))
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"weights and thresholds must be numbers: {exc}") \
-            from exc
+    kwargs = {attr: weights[key]
+              for key, attr in _WEIGHT_KEYS.items() if key in weights}
+    kwargs.update(zip(("s1", "s2", "s3", "s4"), ts))
+    for v in kwargs.values():
+        if type(v) not in (int, float):
+            raise SchemaError(f"weights and thresholds must be numbers, "
+                              f"got {v!r}")
     if not kwargs:
         return base
-    return WeightConfig(**{**base._asdict(), **kwargs})
+    return WeightConfig(**{**base._asdict(),
+                           **{k: float(v) for k, v in kwargs.items()}})
 
 
-def _split_catalog(doc, base: WeightConfig):
-    """(criterion entries, weights) of a parsed catalog document."""
-    if isinstance(doc, list):
-        return doc, base
-    if isinstance(doc, dict):
-        entries = doc.get("criteria")
+def load_config(catalog: Union[str, Path, dict, list, None] = None,
+                weights: Optional[Union[str, Path]] = None):
+    """The criterion catalog and the weights and thresholds, which default
+    to WeightConfig().
+
+    `catalog` is a file path, an already-parsed document, or None (or an
+    empty path) for the packaged catalog. A document is either a bare array
+    of {"id", "level", "frames"} entries or an object {"criteria": [...],
+    "weights": {...}, "thresholds": [...]}. `weights` names a file holding
+    only "weights" and "thresholds", which win over overrides in the
+    catalog. Returns (catalog, weights), the catalog a read-only mapping
+    from criterion id to CriterionSpec; bad content raises SchemaError.
+    """
+    if catalog is None or isinstance(catalog, (str, Path)):
+        catalog = _read_json(catalog or _PACKAGED, "catalog")
+    w = WeightConfig()
+    if isinstance(catalog, dict):
+        if not _CATALOG_KEYS.issuperset(catalog):
+            raise _unknown_keys("catalog", catalog, _CATALOG_KEYS)
+        entries = catalog.get("criteria")
         if not isinstance(entries, (list, tuple)):
             raise SchemaError("catalog object lacks a 'criteria' array")
-        return entries, _weights_from_json(doc, base)
-    raise SchemaError("catalog must be a JSON array or object")
-
-
-def load_catalog(source: Union[str, Path, dict, list],
-                 weights: Optional[WeightConfig] = None):
-    """Load a catalog file (or already-parsed document).
-
-    Accepts either a bare array of criterion entries or an object
-    {"criteria": [...], "weights": {...}, "thresholds": [...]}.
-    Returns (catalog, effective_weights); the catalog is a read-only
-    mapping from criterion id to CriterionSpec.
-    """
-    if isinstance(source, (str, Path)):
-        source = _read_json(source, "catalog")
-    entries, w = _split_catalog(source, weights or default_weights())
-    return _build_catalog(entries, w), w
-
-
-def default_catalog(weights: Optional[WeightConfig] = None):
-    """The packaged WCAG 2.0 catalog. Returns (catalog, weights)."""
-    return load_catalog(Path(__file__).parent / "data" / "wcag20_criteria.json",
-                        weights)
-
-
-def load_config(catalog_path: Optional[Union[str, Path]] = None,
-                weights_path: Optional[Union[str, Path]] = None):
-    """Catalog and weights from optional files; the packaged catalog when
-    no catalog path is given. A weights file holds only "weights" and
-    "thresholds", and wins over overrides in the catalog file. Returns
-    (catalog, weights); unreadable content raises SchemaError.
-    """
-    entries, w = None, default_weights()
-    if catalog_path:
-        entries, w = _split_catalog(_read_json(catalog_path, "catalog"), w)
-    if weights_path:
-        doc = _read_json(weights_path, "weights file")
+        w = _weights_from_json(catalog, w)
+    elif isinstance(catalog, list):
+        entries = catalog
+    else:
+        raise SchemaError("catalog must be a JSON array or object")
+    if weights:
+        doc = _read_json(weights, "weights file")
         if not isinstance(doc, dict) or \
                 not set(doc) <= {"weights", "thresholds"}:
             raise SchemaError("weights file must be an object with keys "
                               "among 'weights' and 'thresholds'")
         w = _weights_from_json(doc, w)
-    if entries is None:
-        return default_catalog(w)
     return _build_catalog(entries, w), w

@@ -21,7 +21,7 @@ from a11yfuse.engine import (
     score_frame,
 )
 from a11yfuse.reports import parse_report
-from a11yfuse.wcag import DeficiencyFrame, default_weights, load_catalog
+from a11yfuse.wcag import DeficiencyFrame, WeightConfig, load_config
 
 from oracle import AC, EMPTY, NAC, OMEGA, combine_bruteforce, to_setmap
 
@@ -40,9 +40,9 @@ def random_mass(rng):
 
 
 def test_criterion_1_default_constants():
-    default_weights()  # warm-up
+    WeightConfig()  # warm-up
     t0 = time.perf_counter()
-    w = default_weights()
+    w = WeightConfig()
     ok = ((w.alpha_a, w.alpha_aa, w.alpha_aaa) == (1.0, 0.8, 0.6)
           and (w.beta_err, w.beta_likely, w.beta_potential) == (1.0, 0.5, 1.0)
           and w.delta == 1.0
@@ -62,7 +62,7 @@ TABLE_CELLS = [
 
 
 def test_criterion_2_discretization_golden():
-    w = default_weights()
+    w = WeightConfig()
     discretize(0.5, w)  # warm-up
     t0 = time.perf_counter()
     ok = all(discretize(d, w).glyph == arrow for d, arrow in TABLE_CELLS)
@@ -128,7 +128,7 @@ def test_criterion_5_worked_micro_pipeline():
         d = m_ac + m_om / 2
         return (e_ac, e_nac, e_om), (m_ac, m_nac, m_om), d
 
-    w = default_weights()
+    w = WeightConfig()
     t0 = time.perf_counter()
     parts = EstimationParts(num_ac=8 * 1.0, den_ac=10.0,
                             num_nac=2 * 1.0 * w.beta_err, den_nac=4.0,
@@ -185,7 +185,7 @@ def test_criterion_6_fusion_strengthening():
 
 
 def test_criterion_7_error_monotonicity():
-    catalog, w = load_catalog(
+    catalog, w = load_config(
         [{"id": "c1", "level": "A", "frames": ["visual"]}])
     t0 = time.perf_counter()
     decisions = []

@@ -27,6 +27,9 @@ def write_json(path, doc):
     return str(path)
 
 
+ONE_CRITERION = {"id": "1.1.1", "level": "A", "frames": ["visual"]}
+
+
 @pytest.fixture
 def conflict_pair(tmp_path):
     """Two one-criterion reports on 1.1.1 (visual and cognitive) that
@@ -226,6 +229,36 @@ class TestConfigErrors:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("flag", ("--weights", "--catalog"))
+    @pytest.mark.parametrize("doc", [
+        {"weights": {"aa": "0.7"}},
+        {"thresholds": ["0.5", "0.6", "0.7", "0.8"]},
+        {"weights": {"a": True}},
+    ])
+    def test_weights_must_be_json_numbers_exit_1(self, capsys, tmp_path,
+                                                 fixture_pair, flag, doc):
+        if flag == "--catalog":
+            doc = {"criteria": [ONE_CRITERION], **doc}
+        path = write_json(tmp_path / "config.json", doc)
+        code, out, err = run(capsys, "score", flag, path,
+                             "--page", *fixture_pair)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: weights and thresholds must be numbers")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"criteria": [ONE_CRITERION], "threshold": [0.5, 0.6, 0.7, 0.8]},
+         "catalog: unknown key(s) 'threshold'"),
+        ([{**ONE_CRITERION, "alpha": 0.01}],
+         "criterion 1.1.1: unknown key(s) 'alpha'"),
+    ])
+    def test_unknown_catalog_key_exit_1(self, capsys, tmp_path, fixture_pair,
+                                        doc, message):
+        path = write_json(tmp_path / "catalog.json", doc)
+        code, out, err = run(capsys, "score", "--catalog", path,
+                             "--page", *fixture_pair)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     def test_misspelled_report_key_exit_1(self, capsys, tmp_path):
         # five errors under a misspelled key once scored as "very good"

@@ -22,18 +22,18 @@ from a11yfuse.wcag import (
     GLOBAL,
     DeficiencyFrame,
     WeightConfig,
-    default_catalog,
-    default_weights,
-    load_catalog,
+    load_config,
 )
 
 from oracle import AC, EMPTY, NAC, OMEGA, pipeline_oracle
 
 
 def one_criterion_catalog(weights=None):
-    catalog, w = load_catalog(
-        [{"id": "c1", "level": "A", "frames": ["visual"]}], weights)
-    return catalog, w
+    """(catalog, weights) of one level-A visual criterion; `weights` holds
+    level-weight overrides as in a catalog file."""
+    return load_config({"criteria": [{"id": "c1", "level": "A",
+                                      "frames": ["visual"]}],
+                        "weights": weights or {}})
 
 
 def report_for(n_ok=0, n_err=0, n_likely=0, n_potential=0,
@@ -78,7 +78,7 @@ class TestEstimate:
 
     def test_correct_count_normalized_by_all_frames(self):
         # c2 sits outside the visual frame but inflates the test total
-        catalog, w = load_catalog([
+        catalog, w = load_config([
             {"id": "c1", "level": "A", "frames": ["visual"]},
             {"id": "c2", "level": "A", "frames": ["hearing"]},
         ])
@@ -124,7 +124,7 @@ class TestDiscretize:
         (0.630, AccessLevel.BAD),
     ])
     def test_published_examples(self, value, level):
-        assert discretize(value, default_weights()) is level
+        assert discretize(value, WeightConfig()) is level
 
     @pytest.mark.parametrize("value, level", [
         (0.0, AccessLevel.VERY_BAD),
@@ -135,13 +135,13 @@ class TestDiscretize:
         (1.0, AccessLevel.VERY_GOOD),
     ])
     def test_threshold_boundaries_take_better_level(self, value, level):
-        assert discretize(value, default_weights()) is level
+        assert discretize(value, WeightConfig()) is level
 
     def test_out_of_range(self):
         with pytest.raises(OutOfRange):
-            discretize(1.1, default_weights())
+            discretize(1.1, WeightConfig())
         with pytest.raises(OutOfRange):
-            discretize(-0.01, default_weights())
+            discretize(-0.01, WeightConfig())
 
     def test_glyphs(self):
         assert [lvl.glyph for lvl in AccessLevel] == ["↓", "↘", "→", "↗", "↑"]
@@ -164,7 +164,7 @@ class TestScoreFrame:
         fused = combine_conjunctive(a, a)
         assert math.isclose(fused.ac, 0.99, abs_tol=1e-12)
         assert math.isclose(pignistic(fused), 0.995, abs_tol=1e-12)
-        assert discretize(0.995, default_weights()) is AccessLevel.VERY_GOOD
+        assert discretize(0.995, WeightConfig()) is AccessLevel.VERY_GOOD
 
     def test_vacuous_source_does_not_move_decision(self):
         catalog, w = one_criterion_catalog()
@@ -177,7 +177,7 @@ class TestScoreFrame:
         assert both.per_source["tool-b"] == vacuous()
 
     def test_source_order_invariance(self):
-        catalog, w = default_catalog()
+        catalog, w = load_config()
         reports = [parse_report(generate_fixture(11, kind), catalog)
                    for kind in ("balanced", "error-heavy", "potential-heavy")]
         decisions = [
@@ -240,7 +240,7 @@ class TestScoreFrame:
 
 class TestScorePage:
     def test_five_entries(self):
-        catalog, w = default_catalog()
+        catalog, w = load_config()
         r = parse_report(generate_fixture(1, "balanced"), catalog)
         result = score_page([r], catalog, w)
         assert len(result) == 5
@@ -256,7 +256,7 @@ class TestScorePage:
             assert result[frame].level is AccessLevel.VERY_BAD
 
     def test_fixture_pair_matches_pipeline_oracle(self):
-        catalog, w = default_catalog()
+        catalog, w = load_config()
         docs = [json.loads(generate_fixture(7, "error-heavy")),
                 json.loads(generate_fixture(7, "potential-heavy"))]
         reports = [parse_report(d, catalog) for d in docs]
@@ -276,7 +276,7 @@ class TestFixturePages:
     def test_seed_148_certain_source_decides_within_range(self):
         # one source commits fully to "accessible" in the hearing frame;
         # the pignistic value used to come out at 1.0000000000000002
-        catalog, w = default_catalog()
+        catalog, w = load_config()
         reports = [parse_report(generate_fixture(148, kind), catalog)
                    for kind in ("error-heavy", "potential-heavy")]
         hearing = score_page(reports, catalog, w)[DeficiencyFrame.HEARING]
@@ -286,7 +286,7 @@ class TestFixturePages:
     @given(st.integers(0, 10**6), st.sampled_from(FIXTURE_KINDS),
            st.sampled_from(FIXTURE_KINDS))
     def test_score_page_never_raises_on_fixture_pairs(self, seed, k1, k2):
-        catalog, w = default_catalog()
+        catalog, w = load_config()
         reports = [parse_report(generate_fixture(seed, k), catalog)
                    for k in (k1, k2)]
         for d in score_page(reports, catalog, w).values():
@@ -334,8 +334,8 @@ class TestWeightConsistency:
     def test_alpha_cancels_for_single_criterion_frames(self):
         # with unit certainty coefficients every estimate is proportional
         # to the criterion weight, so the normalized masses cannot move
-        base = WeightConfig()
-        small = WeightConfig(alpha_a=0.5, alpha_aa=0.4, alpha_aaa=0.3)
+        base = {}
+        small = {"a": 0.5, "aa": 0.4, "aaa": 0.3}
         r = None
         masses = []
         for weights in (base, small):

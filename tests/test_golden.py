@@ -1,14 +1,18 @@
 """Rendered bytes pinned by hash: every score format and every explain frame
 over 53 two-assessor fixture pages, including the three seeds (148, 359,
 987) whose hearing frame once overshot 1.0, and the generated fixture
-reports of every kind for those seeds. A refactor that keeps output
+reports of every kind for those seeds, and score --format json under each
+way of configuring the catalog and weights. A refactor that keeps output
 byte-identical keeps these hashes; a change that alters output on purpose
 records the new hashes and says why."""
 
 import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
+import a11yfuse
 from a11yfuse.cli import main
 from a11yfuse.reports import generate_fixture
 
@@ -64,6 +68,44 @@ FIXTURE_GOLDEN = {
 }
 
 
+# The config paths, each rendered as score --format json over the same pages.
+# Every catalog lists every packaged criterion, so no criterion is skipped
+# and stderr carries no warning text.
+PACKAGED = json.loads((Path(a11yfuse.__file__).parent / "data"
+                       / "wcag20_criteria.json").read_text(encoding="utf-8"))
+CONFIG_DOCS = {
+    # every criterion also counts for the cognitive frame
+    "array.json": [{**c, "frames": sorted({*c["frames"], "cognitive"})}
+                   for c in PACKAGED],
+    "object.json": {"criteria": PACKAGED,
+                    "weights": {"aa": 0.7, "aaa": 0.4},
+                    "thresholds": [0.5, 0.65, 0.75, 0.85]},
+    "weights.json": {"weights": {"a": 0.9, "aa": 0.75},
+                     "thresholds": [0.55, 0.7, 0.8, 0.95]},
+}
+CONFIGS = {
+    "catalog-object": ("--catalog", "object.json"),
+    "catalog-array": ("--catalog", "array.json"),
+    "weights": ("--weights", "weights.json"),
+    "catalog-and-weights": ("--catalog", "object.json",
+                            "--weights", "weights.json"),
+}
+CONFIG_GOLDEN = {
+    "catalog-object": (
+        "be7b66b28d71514427c9c12e3d76324c77bbb4bacefb13652c9c88c2631569d9",
+        NOTHING, 0),
+    "catalog-array": (
+        "1344b996b49e1bfe9be6a2d01c47674d8d35342a3daeda49f894348dd7957d4a",
+        NOTHING, 0),
+    "weights": (
+        "81628b8e3e1cb8c87c1a29f8d93e44c5eae449deb06c51f8959114e0cd79aed3",
+        NOTHING, 0),
+    "catalog-and-weights": (
+        "7eb2112d4bce174face4aabc6c57d346f84e4f07bc7086952d3af4c474b346af",
+        NOTHING, 0),
+}
+
+
 @pytest.fixture(scope="module")
 def page_args(tmp_path_factory):
     out = tmp_path_factory.mktemp("golden")
@@ -88,6 +130,19 @@ def test_rendered_bytes_unchanged(rendering, page_args, capsys):
     got = (_sha(captured.out), _sha(captured.err), code)
     assert got == GOLDEN[rendering], \
         f"{rendering}: rendered output differs from the pinned bytes"
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+def test_config_paths_unchanged(config, page_args, tmp_path, capsys):
+    for name, doc in CONFIG_DOCS.items():
+        (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
+    flags = [str(tmp_path / a) if a.endswith(".json") else a
+             for a in CONFIGS[config]]
+    code = main(["score", "--format", "json", *flags, *page_args])
+    captured = capsys.readouterr()
+    got = (_sha(captured.out), _sha(captured.err), code)
+    assert got == CONFIG_GOLDEN[config], \
+        f"{config}: rendered output differs from the pinned bytes"
 
 
 @pytest.mark.parametrize("kind", FIXTURE_GOLDEN)

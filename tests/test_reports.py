@@ -1,12 +1,9 @@
 import json
+import warnings
 
 import pytest
 
-from a11yfuse.errors import (
-    CountInconsistency,
-    SchemaError,
-    UnknownCriterion,
-)
+from a11yfuse.errors import CountInconsistency, SchemaError
 from a11yfuse.reports import (
     FIXTURE_KINDS,
     AssessorProfile,
@@ -16,7 +13,7 @@ from a11yfuse.reports import (
     parse_report,
     serialize_report,
 )
-from a11yfuse.wcag import WeightConfig, default_catalog
+from a11yfuse.wcag import WeightConfig, load_config
 
 
 def report_doc(observations, total=None, **assessor_overrides):
@@ -103,18 +100,12 @@ class TestParse:
         with pytest.raises(SchemaError):
             parse_report(b"\xff\xfe{}")
 
-    def test_unknown_criterion_skipped_with_warning(self):
-        catalog, _ = default_catalog()
+    def test_criterion_missing_from_catalog_skipped_with_warning(self):
+        catalog, _ = load_config()
         doc = report_doc([obs("9.9.9", n_ok=5), obs("1.1.1", n_ok=2)])
         with pytest.warns(UserWarning, match="9.9.9"):
             r = parse_report(doc, catalog)
         assert list(r.observations) == ["1.1.1"]
-
-    def test_unknown_criterion_rejected_on_request(self):
-        catalog, _ = default_catalog()
-        with pytest.raises(UnknownCriterion):
-            parse_report(report_doc([obs("9.9.9")]), catalog,
-                         unknown_criterion="reject")
 
 
 class TestUnknownKeys:
@@ -125,7 +116,7 @@ class TestUnknownKeys:
             parse_report(doc)
 
     def test_observation_key_rejected_even_when_criterion_skipped(self):
-        catalog, _ = default_catalog()
+        catalog, _ = load_config()
         with pytest.raises(SchemaError, match="'t_errr'"):
             parse_report(report_doc([obs("9.9.9", t_errr=1)]), catalog)
 
@@ -192,11 +183,13 @@ class TestFixtures:
 
     @pytest.mark.parametrize("kind", FIXTURE_KINDS)
     def test_generated_reports_validate(self, kind):
-        catalog, _ = default_catalog()
-        for seed in range(5):
-            r = parse_report(generate_fixture(seed, kind), catalog,
-                             unknown_criterion="reject")
-            assert r.total_tests > 0
+        # fixtures draw only catalog criteria, so none is skipped
+        catalog, _ = load_config()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for seed in range(5):
+                r = parse_report(generate_fixture(seed, kind), catalog)
+                assert r.total_tests > 0
 
     def test_same_seed_shares_url_across_kinds(self):
         a = json.loads(generate_fixture(7, "error-heavy"))

@@ -36,8 +36,6 @@ from a11yfuse.wcag import (
     CriterionSpec,
     DeficiencyFrame,
     WeightConfig,
-    default_catalog,
-    load_catalog,
     load_config,
 )
 
@@ -146,10 +144,10 @@ def test_empty_defaults_are_not_shared():
 
 
 def test_catalog_equality_and_read_only():
-    catalog = default_catalog()[0]
-    assert catalog == default_catalog()[0] == load_config()[0]
-    assert catalog != load_catalog([])[0]
-    for loaded in (catalog, load_config()[0], load_catalog([])[0]):
+    catalog = load_config()[0]
+    assert catalog == load_config()[0] == load_config("")[0]
+    assert catalog != load_config([])[0]
+    for loaded in (catalog, load_config([])[0]):
         assert type(loaded) is MappingProxyType
         with pytest.raises(TypeError):
             loaded["1.1.1"] = SPEC

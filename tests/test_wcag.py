@@ -11,9 +11,6 @@ from a11yfuse.wcag import (
     WeightConfig,
     alpha_for,
     criteria_in_frame,
-    default_catalog,
-    default_weights,
-    load_catalog,
     load_config,
     resolve_frame,
 )
@@ -21,36 +18,36 @@ from a11yfuse.wcag import (
 
 class TestDefaults:
     def test_level_weights(self):
-        w = default_weights()
+        w = WeightConfig()
         assert (w.alpha_a, w.alpha_aa, w.alpha_aaa) == (1.0, 0.8, 0.6)
 
     def test_thresholds(self):
-        assert default_weights().thresholds == (0.6, 0.7, 0.8, 0.9)
+        assert WeightConfig().thresholds == (0.6, 0.7, 0.8, 0.9)
 
     def test_certainty_and_reliability(self):
-        w = default_weights()
+        w = WeightConfig()
         assert (w.beta_err, w.beta_likely, w.beta_potential) == (1.0, 0.5, 1.0)
         assert w.delta == 1.0
 
     def test_invariants_hold(self):
-        w = default_weights()
+        w = WeightConfig()
         assert 0 < w.alpha_aaa <= w.alpha_aa <= w.alpha_a <= 1
         assert 0 < w.s1 < w.s2 < w.s3 < w.s4 < 1
 
 
 class TestAlphaFor:
     def test_level_a(self):
-        assert alpha_for(ConformanceLevel.A, default_weights()) == 1.0
+        assert alpha_for(ConformanceLevel.A, WeightConfig()) == 1.0
 
     def test_level_aaa(self):
-        assert alpha_for(ConformanceLevel.AAA, default_weights()) == 0.6
+        assert alpha_for(ConformanceLevel.AAA, WeightConfig()) == 0.6
 
     def test_custom_config(self):
         w = WeightConfig(alpha_a=1.0, alpha_aa=0.9, alpha_aaa=0.5)
         assert alpha_for(ConformanceLevel.AA, w) == 0.9
 
     def test_monotone_non_increasing(self):
-        for w in (default_weights(),
+        for w in (WeightConfig(),
                   WeightConfig(alpha_a=0.7, alpha_aa=0.7, alpha_aaa=0.1)):
             assert (alpha_for(ConformanceLevel.A, w)
                     >= alpha_for(ConformanceLevel.AA, w)
@@ -62,7 +59,7 @@ def small_catalog():
         {"id": "c1", "level": "A", "frames": ["visual", "cognitive"]},
         {"id": "c2", "level": "AA", "frames": ["hearing"]},
     ]
-    catalog, _ = load_catalog(doc)
+    catalog, _ = load_config(doc)
     return catalog
 
 
@@ -87,28 +84,28 @@ class TestCriteriaInFrame:
 
 class TestDefaultCatalog:
     def test_sixty_one_criteria(self):
-        catalog, _ = default_catalog()
+        catalog, _ = load_config()
         assert len(catalog) == 61
 
     def test_union_of_frames_is_global(self):
-        catalog, _ = default_catalog()
+        catalog, _ = load_config()
         union = set()
         for frame in DeficiencyFrame:
             union |= criteria_in_frame(catalog, frame)
         assert union == criteria_in_frame(catalog, GLOBAL)
 
     def test_every_criterion_has_a_frame(self):
-        catalog, _ = default_catalog()
+        catalog, _ = load_config()
         assert all(c.frames for c in catalog.values())
 
     def test_visual_dominates(self):
         # most checkpoints concern visual deficiencies
-        catalog, _ = default_catalog()
+        catalog, _ = load_config()
         visual = criteria_in_frame(catalog, DeficiencyFrame.VISUAL)
         assert len(visual) / len(catalog) >= 0.7
 
     def test_alphas_follow_levels(self):
-        catalog, w = default_catalog()
+        catalog, w = load_config()
         for c in catalog.values():
             assert c.alpha == alpha_for(c.level, w)
 
@@ -122,7 +119,7 @@ class TestLoading:
         }
         path = tmp_path / "catalog.json"
         path.write_text(json.dumps(doc))
-        catalog, w = load_catalog(path)
+        catalog, w = load_config(path)
         assert w.alpha_aa == 0.7
         assert w.thresholds == (0.5, 0.6, 0.7, 0.8)
         assert catalog.get("c1").alpha == 1.0
@@ -131,25 +128,25 @@ class TestLoading:
         doc = [{"id": "c1", "level": "A", "frames": ["visual"]},
                {"id": "c1", "level": "AA", "frames": ["motor"]}]
         with pytest.raises(SchemaError):
-            load_catalog(doc)
+            load_config(doc)
 
     def test_bad_level_rejected(self):
         with pytest.raises(SchemaError):
-            load_catalog([{"id": "c1", "level": "B", "frames": ["visual"]}])
+            load_config([{"id": "c1", "level": "B", "frames": ["visual"]}])
 
     def test_empty_frames_rejected(self):
         with pytest.raises(SchemaError):
-            load_catalog([{"id": "c1", "level": "A", "frames": []}])
+            load_config([{"id": "c1", "level": "A", "frames": []}])
 
     def test_bad_thresholds_rejected(self):
         with pytest.raises(SchemaError):
-            load_catalog({"criteria": [], "thresholds": [0.9, 0.8, 0.7, 0.6]})
+            load_config({"criteria": [], "thresholds": [0.9, 0.8, 0.7, 0.6]})
 
     def test_not_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{nope")
         with pytest.raises(SchemaError):
-            load_catalog(path)
+            load_config(path)
 
 
 class TestLoadConfig:
@@ -159,7 +156,8 @@ class TestLoadConfig:
         return path
 
     def test_no_files_is_the_packaged_catalog(self):
-        assert load_config(None, None) == default_catalog()
+        catalog, w = load_config(None, None)
+        assert len(catalog) == 61 and w == WeightConfig()
 
     def test_weights_file_alone(self, tmp_path):
         wpath = self.write(tmp_path, "w.json", {"weights": {"aa": 0.7}})
