@@ -6,8 +6,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional
 
 from . import engine
 from .engine import FrameDecision
@@ -16,13 +17,7 @@ from .reports import (FIXTURE_KINDS, AssessorReport, generate_fixture,
                       parse_report)
 from .wcag import FRAMES, GLOBAL, load_config, resolve_frame
 
-Row = Tuple[str, Dict[object, FrameDecision]]
-
-
-def _read_pages(page_groups: List[List[str]],
-                catalog: Mapping) -> List[List[AssessorReport]]:
-    return [[parse_report(Path(p).read_bytes(), catalog) for p in group]
-            for group in page_groups]
+Decisions = Dict[object, FrameDecision]
 
 
 def _frame_key(frame) -> str:
@@ -44,40 +39,33 @@ def _cell(d: FrameDecision, ascii_mode: bool) -> str:
     return f"{d.decision:.3f} {_glyph(d, ascii_mode)}"
 
 
-def _text_rows(rows: List[Row], ascii_mode: bool) -> List[tuple]:
-    """The header, then one row of text cells per page."""
-    return [_HEADER] + [(url, *(_cell(d[k], ascii_mode) for k in FRAMES))
-                        for url, d in rows]
+def _text_row(url: str, decisions: Decisions, ascii_mode: bool) -> tuple:
+    return (url, *(_cell(decisions[k], ascii_mode) for k in FRAMES))
 
 
-def _render_table(rows: List[Row], ascii_mode: bool) -> str:
-    table = _text_rows(rows, ascii_mode)
+def _render_table(table: List[tuple]) -> str:
+    """The header and the text rows, each column padded to its widest
+    cell."""
+    table = [_HEADER, *table]
     widths = [max(len(r[i]) for r in table) for i in range(len(_HEADER))]
     lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
              for row in table]
     return "\n".join(lines) + "\n"
 
 
-def _render_tsv(rows: List[Row], ascii_mode: bool) -> str:
-    return "\n".join(map("\t".join, _text_rows(rows, ascii_mode))) + "\n"
-
-
-def _render_json(rows: List[Row], ascii_mode: bool) -> str:
-    out = []
-    for url, decisions in rows:
-        frames = {}
-        for key in FRAMES:
-            d = decisions[key]
-            frames[_frame_key(key)] = {
-                "decision": None if d.level is None else round(d.decision, 3),
-                "level": None if d.level is None else d.level.value,
-                "glyph": _glyph(d, ascii_mode),
-                "mass": d.fused._asdict(),
-                "per_source": {name: m._asdict()
-                               for name, m in d.per_source.items()},
-            }
-        out.append(json.dumps({"url": url, "frames": frames}))
-    return "\n".join(out) + "\n"
+def _render_json(url: str, decisions: Decisions, ascii_mode: bool) -> str:
+    frames = {}
+    for key in FRAMES:
+        d = decisions[key]
+        frames[_frame_key(key)] = {
+            "decision": None if d.level is None else round(d.decision, 3),
+            "level": None if d.level is None else d.level.value,
+            "glyph": _glyph(d, ascii_mode),
+            "mass": d.fused._asdict(),
+            "per_source": {name: m._asdict()
+                           for name, m in d.per_source.items()},
+        }
+    return json.dumps({"url": url, "frames": frames}) + "\n"
 
 
 def _render_explain(url: str, d: FrameDecision, ascii_mode: bool) -> str:
@@ -105,27 +93,80 @@ def _render_explain(url: str, d: FrameDecision, ascii_mode: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _read_report(path: str, catalog: Mapping,
+                 caught: List[warnings.WarningMessage]) -> AssessorReport:
+    try:
+        return parse_report(Path(path).read_bytes(), catalog)
+    finally:  # a criterion missing from the catalog, one line each
+        for w in caught:
+            print(f"warning: {path}: {w.message}", file=sys.stderr)
+        caught.clear()
+
+
+def _each_page(groups: List[List[str]], catalog: Mapping, score: Callable,
+               emit: Callable) -> bool:
+    """Read, parse and score one --page group at a time with
+    score(reports), and pass its URL and result to emit before the next
+    group is read, so memory holds one page. A group that fails writes
+    `error: <path>: <message>`, naming the failing report or, for an error
+    while scoring, the group's first one; it emits nothing and the other
+    groups go on. Returns whether every group scored."""
+    ok = True
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for group in groups:
+            try:
+                reports = []
+                for path in group:
+                    reports.append(_read_report(path, catalog, caught))
+                path = group[0]
+                result = score(reports)
+            except (IndicatorError, OSError) as exc:
+                # an OSError's own text repeats the path
+                print(f"error: {path}: {getattr(exc, 'strerror', 0) or exc}",
+                      file=sys.stderr)
+                ok = False
+                continue
+            emit(reports[0].url, result)
+    return ok
+
+
 def cmd_score(args) -> int:
     catalog, w = load_config(args.catalog, args.weights)
-    rows = [(reports[0].url, engine.score_page(reports, catalog, w))
-            for reports in _read_pages(args.page, catalog)]
-    renderer = {"table": _render_table, "tsv": _render_tsv,
-                "json": _render_json}[args.format]
-    sys.stdout.write(renderer(rows, args.ascii))
-    conflicts = [f"{url} {_frame_key(k)}" for url, decisions in rows
-                 for k in FRAMES if decisions[k].level is None]
+    table, conflicts = [], []
+    tsv_header = "\t".join(_HEADER) + "\n"
+
+    def emit(url: str, decisions: Decisions) -> None:
+        nonlocal tsv_header
+        if args.format == "json":
+            sys.stdout.write(_render_json(url, decisions, args.ascii))
+        elif args.format == "table":  # the column widths need every row
+            table.append(_text_row(url, decisions, args.ascii))
+        else:
+            sys.stdout.write(tsv_header + "\t".join(
+                _text_row(url, decisions, args.ascii)) + "\n")
+            tsv_header = ""
+        conflicts.extend(f"{url} {_frame_key(k)}" for k in FRAMES
+                         if decisions[k].level is None)
+
+    ok = _each_page(args.page, catalog,
+                    lambda reports: engine.score_page(reports, catalog, w),
+                    emit)
+    if table:
+        sys.stdout.write(_render_table(table))
     for where in conflicts:
         print(f"error: total conflict: {where}", file=sys.stderr)
-    return 1 if conflicts else 0
+    return 0 if ok and not conflicts else 1
 
 
 def cmd_explain(args) -> int:
     catalog, w = load_config(args.catalog, args.weights)
     frame = resolve_frame(args.frame)
-    for reports in _read_pages(args.page, catalog):
-        d = engine.score_frame(reports, frame, catalog, w)
-        sys.stdout.write(_render_explain(reports[0].url, d, args.ascii))
-    return 0
+    ok = _each_page(
+        args.page, catalog,
+        lambda reports: engine.score_frame(reports, frame, catalog, w),
+        lambda url, d: sys.stdout.write(_render_explain(url, d, args.ascii)))
+    return 0 if ok else 1
 
 
 def cmd_fixtures(args) -> int:

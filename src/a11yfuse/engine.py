@@ -107,19 +107,23 @@ def estimate_parts(report: AssessorReport, frame: FrameOrGlobal,
     observations whose ids criteria_in_frame returns contribute.
     """
     frame_ids = criteria_in_frame(catalog, frame)
-    p = report.profile
+    _, beta_err, beta_likely, beta_potential, _ = report.profile
     num_ac = num_nac = num_omega = 0.0
     den_nac = den_omega = 0
+    # tuple unpacking, not named-field reads, which Python 3.11 does not
+    # specialise; the sums keep their order, so every float is unchanged
     for cid, obs in report.observations.items():
         if cid not in frame_ids:
             continue
-        alpha = catalog[cid].alpha
-        num_ac += obs.n_ok * alpha
-        num_nac += obs.n_err * alpha * p.beta_err
-        den_nac += obs.t_err
-        num_omega += (obs.n_likely * alpha * p.beta_likely
-                      + obs.n_potential * alpha * p.beta_potential)
-        den_omega += obs.t_likely + obs.t_potential
+        _, n_err, n_ok, n_likely, n_potential, t_err, t_likely, \
+            t_potential = obs
+        _, _, _, alpha = catalog[cid]
+        num_ac += n_ok * alpha
+        num_nac += n_err * alpha * beta_err
+        den_nac += t_err
+        num_omega += (n_likely * alpha * beta_likely
+                      + n_potential * alpha * beta_potential)
+        den_omega += t_likely + t_potential
     return EstimationParts(num_ac=num_ac, den_ac=float(report.total_tests),
                            num_nac=num_nac, den_nac=float(den_nac),
                            num_omega=num_omega, den_omega=float(den_omega))

@@ -112,9 +112,10 @@ def parse_report(document,
     coefficients in the assessor block, or beyond "criterion" and the seven
     counts in an observation, is a SchemaError.
 
-    Criteria missing from the catalog are skipped with a warning. A stored
-    total_tests field must match the recomputed sum (corruption guard) or
-    be absent.
+    Criteria missing from the catalog are validated, then skipped with a
+    warning. A stored total_tests field must match the tests run summed
+    over every observation entry, skipped ones included (corruption guard),
+    or be absent; the report's total_tests sums the kept observations.
     """
     if isinstance(document, (str, bytes)):
         try:
@@ -146,27 +147,32 @@ def parse_report(document,
     profile = AssessorProfile(**{**assessor, "name": str(assessor["name"])})
 
     observations: Dict[str, CriterionObservation] = {}
+    skipped: Dict[str, CriterionObservation] = {}
     for entry in raw_obs:
         if not isinstance(entry, dict) or "criterion" not in entry:
             raise SchemaError(f"bad observation entry: {entry!r}")
         cid = str(entry["criterion"])
         if not _ENTRY_KEYS.issuperset(entry):
             raise _unknown_keys(f"criterion {cid}", entry, _ENTRY_KEYS)
-        if cid in observations:
+        if cid in observations or cid in skipped:
             raise SchemaError(f"duplicate observation for criterion {cid}")
-        if catalog is not None and cid not in catalog:
-            warnings.warn(f"skipping unknown criterion {cid}", stacklevel=2)
-            continue
-        observations[cid] = CriterionObservation(
+        obs = CriterionObservation(
             cid, *[entry.get(key, 0) for key in _OBS_KEYS])
+        if catalog is None or cid in catalog:
+            observations[cid] = obs
+        else:
+            warnings.warn(f"skipping unknown criterion {cid}", stacklevel=2)
+            skipped[cid] = obs
 
     report = AssessorReport(profile=profile, url=url, observations=observations)
     if "total_tests" in document:
+        # the document's total covers its skipped entries too
         stored = document["total_tests"]
-        if stored != report.total_tests:
+        total = report.total_tests + sum(o.tests_run for o in skipped.values())
+        if stored != total:
             raise CountInconsistency(
                 f"stored total_tests={stored} does not match the "
-                f"recomputed sum {report.total_tests}")
+                f"recomputed sum {total}")
     return report
 
 

@@ -30,6 +30,10 @@ class DeficiencyFrame(Enum):
     MOTOR = "motor"
     COGNITIVE = "cognitive"
 
+    # Members are singletons that compare by identity; Enum's own __hash__
+    # is a Python-level call, paid on every `frame in spec.frames`.
+    __hash__ = object.__hash__
+
 
 #: Pseudo-frame meaning "all criteria", kept out of the DeficiencyFrame enum.
 GLOBAL = "global"

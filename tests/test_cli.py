@@ -1,7 +1,12 @@
+import contextlib
 import json
+import os
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import a11yfuse
 from a11yfuse.cli import main
 from a11yfuse.reports import generate_fixture
 
@@ -171,6 +176,140 @@ class TestScore:
         assert "1.000 ↑" in out
 
 
+def write_pages(directory, seeds):
+    """One --page group per seed: its error-heavy and potential-heavy
+    fixture reports."""
+    groups = []
+    for seed in seeds:
+        group = []
+        for kind in ("error-heavy", "potential-heavy"):
+            path = directory / f"report-{kind}-{seed}.json"
+            path.write_text(generate_fixture(seed, kind), encoding="utf-8")
+            group.append(str(path))
+        groups.append(group)
+    return groups
+
+
+def page_args(groups):
+    return [arg for group in groups for arg in ("--page", *group)]
+
+
+class TestPageByPage:
+    """Each --page group is read, scored and written before the next one;
+    a group that fails prints nothing on stdout and hides no other page."""
+
+    @pytest.fixture
+    def batch(self, tmp_path):
+        good = write_pages(tmp_path, (3, 1, 2))
+        broken = tmp_path / "broken.json"
+        broken.write_text("{", encoding="utf-8")
+        utf16 = tmp_path / "utf16.json"
+        utf16.write_bytes(b"\xff\xfe" + '{"url": "u"}'.encode("utf-16-le"))
+        mixed = [good[0][0], good[1][1]]
+        missing = tmp_path / "missing.json"
+        groups = [[str(broken)], good[0], [good[2][0], str(utf16)], good[1],
+                  mixed, [str(missing)], good[2]]
+        errors = [f"error: {broken}: report is not valid UTF-8 JSON",
+                  f"error: {utf16}: report is not valid UTF-8 JSON",
+                  f"error: {mixed[0]}: reports refer to different pages",
+                  f"error: {missing}: No such file or directory"]
+        return good, groups, errors
+
+    @pytest.mark.parametrize("argv", [
+        ("score",), ("score", "--format", "tsv"),
+        ("score", "--format", "json"), ("score", "--ascii"),
+        ("explain", "--frame", "visual"), ("explain", "--frame", "global")])
+    def test_bad_groups_hide_no_good_page(self, capsys, batch, argv):
+        good, groups, errors = batch
+        code, expected, _ = run(capsys, *argv, *page_args(good))
+        assert code == 0
+        code, out, err = run(capsys, *argv, *page_args(groups))
+        assert (code, out) == (1, expected)
+        lines = err.splitlines()
+        assert len(lines) == len(errors)
+        for line, start in zip(lines, errors):
+            assert line.startswith(start)
+
+    @pytest.mark.parametrize("argv", [
+        ("score",), ("score", "--format", "tsv"),
+        ("score", "--format", "json"), ("explain", "--frame", "visual")])
+    def test_no_good_page_prints_nothing(self, capsys, batch, argv):
+        good, groups, errors = batch
+        bad = [g for g in groups if g not in good]
+        code, out, err = run(capsys, *argv, *page_args(bad))
+        assert (code, out, len(err.splitlines())) == (1, "", len(errors))
+
+    def test_conflict_lines_follow_page_errors(self, capsys, batch,
+                                               conflict_pair):
+        good, groups, errors = batch
+        code, _, err = run(capsys, "score", "--page", *conflict_pair,
+                           *page_args(groups[:1]))
+        assert code == 1
+        lines = err.splitlines()
+        assert lines[0].startswith(errors[0])
+        assert lines[1:] == ["error: total conflict: u visual",
+                             "error: total conflict: u cognitive",
+                             "error: total conflict: u global"]
+
+    @staticmethod
+    def _peak(argv):
+        """The least traced peak of three runs after a warm-up run. A
+        one-off allocation elsewhere in the process, such as a shared table
+        growing, lands in one run only."""
+        peaks = []
+        with open(os.devnull, "w", encoding="utf-8") as devnull, \
+                contextlib.redirect_stdout(devnull):
+            main(argv)
+            for _ in range(3):
+                tracemalloc.start()
+                try:
+                    assert main(argv) == 0
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        return min(peaks)
+
+    @pytest.mark.parametrize("command", [("score", "--format", "json"),
+                                         ("explain", "--frame", "global")])
+    def test_peak_memory_holds_one_page(self, tmp_path, command):
+        groups = write_pages(tmp_path, range(40))
+        few = self._peak([*command, *page_args(groups[:4])])
+        many = self._peak([*command, *page_args(groups)])
+        assert many < 1.5 * few, (few, many)
+
+
+class TestSubsetCatalog:
+    """A catalog that lacks some of a report's criteria skips them with one
+    warning line each and scores the rest."""
+
+    def test_skipped_entries_count_in_stored_total(self, capsys, tmp_path,
+                                                   fixture_pair):
+        packaged = json.loads((Path(a11yfuse.__file__).parent / "data"
+                               / "wcag20_criteria.json").read_text(
+                                   encoding="utf-8"))
+        subset = packaged[:40]
+        kept = {c["id"] for c in subset}
+        catalog = write_json(tmp_path / "subset.json", subset)
+        stripped, warnings = [], []
+        for path in fixture_pair:
+            doc = json.loads(Path(path).read_text(encoding="utf-8"))
+            assert "total_tests" in doc
+            warnings += [f"warning: {path}: skipping unknown criterion "
+                         f"{o['criterion']}" for o in doc["observations"]
+                         if o["criterion"] not in kept]
+            doc["observations"] = [o for o in doc["observations"]
+                                   if o["criterion"] in kept]
+            del doc["total_tests"]
+            stripped.append(write_json(tmp_path / f"s-{Path(path).name}",
+                                       doc))
+        assert warnings
+        code, out, err = run(capsys, "score", "--catalog", catalog,
+                             "--page", *fixture_pair)
+        assert (code, err.splitlines()) == (0, warnings)
+        assert (0, out, "") == run(capsys, "score", "--catalog", catalog,
+                                   "--page", *stripped)
+
+
 class TestTotalConflict:
     def test_table_marks_cell_and_keeps_other_pages(self, capsys,
                                                     conflict_pair,
@@ -270,7 +409,8 @@ class TestConfigErrors:
         code, out, err = run(capsys, "explain", "--frame", "visual",
                              "--page", path)
         assert (code, out) == (1, "")
-        assert err == "error: assessor block: unknown key(s) 'beta_error'\n"
+        assert err == \
+            f"error: {path}: assessor block: unknown key(s) 'beta_error'\n"
 
     def test_misspelled_top_level_key_exit_1(self, capsys, tmp_path):
         path = write_json(tmp_path / "r.json", {
@@ -278,7 +418,7 @@ class TestConfigErrors:
             "observations": [{"criterion": "1.1.1", "n_ok": 3}]})
         code, out, err = run(capsys, "score", "--page", path)
         assert (code, out) == (1, "")
-        assert err == "error: report: unknown key(s) 'total_test'\n"
+        assert err == f"error: {path}: report: unknown key(s) 'total_test'\n"
 
     def test_count_too_large_for_a_float_exit_1(self, capsys, tmp_path):
         # 10**400 once ended in an OverflowError traceback while scoring
@@ -287,7 +427,8 @@ class TestConfigErrors:
             "observations": [{"criterion": "1.1.1", "n_ok": 10 ** 400}]})
         code, out, err = run(capsys, "score", "--page", path)
         assert (code, out) == (1, "")
-        assert err.startswith("error: criterion 1.1.1: n_ok is above 2**53")
+        assert err.startswith(
+            f"error: {path}: criterion 1.1.1: n_ok is above 2**53")
         assert len(err.splitlines()) == 1
 
     def test_non_utf8_report_exit_1(self, capsys, tmp_path):
@@ -295,7 +436,7 @@ class TestConfigErrors:
         p.write_bytes(b"\xff\xfe" + '{"url": "u"}'.encode("utf-16-le"))
         code, _, err = run(capsys, "score", "--page", str(p))
         assert code == 1
-        assert err.startswith("error: report is not valid UTF-8 JSON")
+        assert err.startswith(f"error: {p}: report is not valid UTF-8 JSON")
 
     def test_non_utf8_weights_file_exit_1(self, capsys, tmp_path,
                                           fixture_pair):

@@ -107,6 +107,27 @@ class TestParse:
             r = parse_report(doc, catalog)
         assert list(r.observations) == ["1.1.1"]
 
+    def test_stored_total_covers_skipped_criteria(self):
+        # the kept criterion runs 2 tests, the skipped one 5
+        catalog, _ = load_config()
+        entries = [obs("9.9.9", n_ok=5), obs("1.1.1", n_ok=2)]
+        with pytest.warns(UserWarning, match="9.9.9"):
+            r = parse_report(report_doc(entries, total=7), catalog)
+        assert r.total_tests == 2
+        for wrong in (2, 8):
+            with pytest.warns(UserWarning), \
+                    pytest.raises(CountInconsistency, match="sum 7"):
+                parse_report(report_doc(entries, total=wrong), catalog)
+
+    def test_skipped_criterion_counts_are_validated(self):
+        catalog, _ = load_config()
+        with pytest.raises(CountInconsistency, match="criterion 9.9.9"):
+            parse_report(report_doc([obs("9.9.9", n_err=3, t_err=1)]),
+                         catalog)
+        with pytest.raises(SchemaError, match="duplicate"), \
+                pytest.warns(UserWarning):
+            parse_report(report_doc([obs("9.9.9"), obs("9.9.9")]), catalog)
+
 
 class TestUnknownKeys:
     def test_misspelled_observation_key(self):
