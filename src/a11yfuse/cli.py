@@ -183,6 +183,13 @@ def cmd_fixtures(args) -> int:
     return 0
 
 
+def non_negative_int(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="a11yfuse",
@@ -218,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fix = sub.add_parser("fixtures", help="generate synthetic reports")
     p_fix.add_argument("--seed", type=int, required=True)
     p_fix.add_argument("--kind", choices=FIXTURE_KINDS, default="balanced")
-    p_fix.add_argument("--count", type=int, default=1)
+    p_fix.add_argument("--count", type=non_negative_int, default=1)
     p_fix.add_argument("--out", required=True, metavar="DIR")
     p_fix.set_defaults(func=cmd_fixtures)
     return parser

@@ -121,7 +121,7 @@ def parse_report(document,
         try:
             document = json.loads(document.decode("utf-8")
                                   if isinstance(document, bytes) else document)
-        except ValueError as exc:  # bad JSON or bytes that are not UTF-8
+        except (ValueError, RecursionError) as exc:  # bad, too deep, not UTF-8
             raise SchemaError(f"report is not valid UTF-8 JSON: {exc}") \
                 from exc
     if not isinstance(document, dict):
@@ -168,6 +168,9 @@ def parse_report(document,
     if "total_tests" in document:
         # the document's total covers its skipped entries too
         stored = document["total_tests"]
+        if type(stored) is not int:
+            raise SchemaError(f"total_tests must be an integer, got "
+                              f"{stored!r}")
         total = report.total_tests + sum(o.tests_run for o in skipped.values())
         if stored != total:
             raise CountInconsistency(
@@ -176,16 +179,49 @@ def parse_report(document,
     return report
 
 
+# The canonical form is json.dumps(doc, indent=2, sort_keys=True) plus a
+# newline, written out as templates with the keys in sorted order: the
+# indented json.dumps runs json's pure-Python encoder, and this schema is
+# fixed. Floats render as float.__repr__ and strings through json.dumps,
+# as the encoder does.
+_REPORT_TEMPLATE = """{
+  "assessor": {
+    "beta_err": %r,
+    "beta_likely": %r,
+    "beta_potential": %r,
+    "delta": %r,
+    "name": %s
+  },
+  "observations": %s,
+  "total_tests": %d,
+  "url": %s
+}
+"""
+_OBSERVATION_TEMPLATE = """    {
+      "criterion": %s,
+      "n_err": %d,
+      "n_likely": %d,
+      "n_ok": %d,
+      "n_potential": %d,
+      "t_err": %d,
+      "t_likely": %d,
+      "t_potential": %d
+    }"""
+
+
 def serialize_report(report: AssessorReport) -> str:
-    """Canonical JSON rendering; parse_report round-trips it exactly."""
-    observations = []
-    for o in report.observations.values():
-        entry = o._asdict()
-        entry["criterion"] = entry.pop("criterion_id")
-        observations.append(entry)
-    doc = {"assessor": report.profile._asdict(), "url": report.url,
-           "observations": observations, "total_tests": report.total_tests}
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """Canonical JSON rendering, ASCII and byte-equal to
+    json.dumps(doc, indent=2, sort_keys=True) + "\\n"; parse_report
+    round-trips it exactly."""
+    entries = [_OBSERVATION_TEMPLATE % (
+        json.dumps(cid), n_err, n_likely, n_ok, n_potential, t_err, t_likely,
+        t_potential) for cid, n_err, n_ok, n_likely, n_potential, t_err,
+        t_likely, t_potential in report.observations.values()]
+    name, beta_err, beta_likely, beta_potential, delta = report.profile
+    return _REPORT_TEMPLATE % (
+        beta_err, beta_likely, beta_potential, delta, json.dumps(name),
+        "[\n%s\n  ]" % ",\n".join(entries) if entries else "[]",
+        report.total_tests, json.dumps(report.url))
 
 
 @functools.lru_cache(maxsize=1)

@@ -142,7 +142,7 @@ def _build_catalog(entries: Iterable[dict], w: WeightConfig) -> Mapping:
 def _read_json(path: Union[str, Path], what: str):
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # bad JSON or bytes that are not UTF-8
+    except (ValueError, RecursionError) as exc:  # bad, too deep, not UTF-8
         raise SchemaError(f"{what} is not valid UTF-8 JSON: {exc}") from exc
 
 

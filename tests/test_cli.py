@@ -251,6 +251,21 @@ class TestPageByPage:
                              "error: total conflict: u cognitive",
                              "error: total conflict: u global"]
 
+    @pytest.mark.parametrize("argv", [("score",),
+                                      ("explain", "--frame", "global")])
+    def test_deep_report_hides_no_good_page(self, capsys, tmp_path, argv):
+        # json.loads raised RecursionError: a traceback, and no page printed
+        good = write_pages(tmp_path, (3, 1))
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        _, expected, _ = run(capsys, *argv, *page_args(good))
+        code, out, err = run(capsys, *argv, *page_args(
+            [good[0], [str(deep)], good[1]]))
+        assert (code, out) == (1, expected)
+        assert err.startswith(f"error: {deep}: report is not valid UTF-8 "
+                              f"JSON: maximum recursion")
+        assert len(err.splitlines()) == 1
+
     @staticmethod
     def _peak(argv):
         """The least traced peak of three runs after a warm-up run. A
@@ -447,6 +462,19 @@ class TestConfigErrors:
         assert code == 1
         assert err.startswith("error: weights file is not valid UTF-8 JSON")
 
+    @pytest.mark.parametrize("flag, what", [("--weights", "weights file"),
+                                            ("--catalog", "catalog")])
+    def test_deep_config_file_exit_1(self, capsys, tmp_path, fixture_pair,
+                                     flag, what):
+        p = tmp_path / "config.json"
+        p.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        code, out, err = run(capsys, "score", flag, str(p),
+                             "--page", *fixture_pair)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {what} is not valid UTF-8 JSON: "
+                              f"maximum recursion")
+        assert len(err.splitlines()) == 1
+
 
 class TestExplain:
     def test_trace_contents(self, capsys, fixture_pair):
@@ -570,3 +598,19 @@ class TestFixturesCommand:
         code = main(["fixtures", "--seed", "1", "--kind", "balanced",
                      "--count", "1", "--out", str(blocker)])
         assert code == 1
+
+    def test_negative_count_exit_2(self, capsys, tmp_path):
+        out = tmp_path / "fx"
+        with pytest.raises(SystemExit) as exc:
+            main(["fixtures", "--seed", "1", "--count", "-3",
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        assert "argument --count: must be 0 or more, got -3" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_count_writes_nothing(self, tmp_path):
+        out = tmp_path / "fx"
+        assert main(["fixtures", "--seed", "1", "--count", "0",
+                     "--out", str(out)]) == 0
+        assert list(out.iterdir()) == []

@@ -2,6 +2,7 @@ import json
 import warnings
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from a11yfuse.errors import CountInconsistency, SchemaError
 from a11yfuse.reports import (
@@ -100,6 +101,22 @@ class TestParse:
         with pytest.raises(SchemaError):
             parse_report(b"\xff\xfe{}")
 
+    @pytest.mark.parametrize("document", [str, str.encode])
+    def test_deep_nesting_is_a_schema_error(self, document):
+        # json.loads raises RecursionError, once an uncaught traceback
+        text = '{"observations": ' + "[" * 100_000 + "]" * 100_000 + "}"
+        with pytest.raises(SchemaError, match="^report is not valid UTF-8 "
+                                              "JSON: maximum recursion"):
+            parse_report(document(text))
+
+    @pytest.mark.parametrize("stored", [True, 3.0, "3", [3]])
+    def test_stored_total_must_be_an_integer(self, stored):
+        # True == 1 and 3.0 == 3, so an equality check alone accepted them
+        doc = report_doc([obs(n_ok=1 if stored is True else 3)], stored)
+        with pytest.raises(SchemaError, match="total_tests must be an "
+                                              "integer, got"):
+            parse_report(doc)
+
     def test_criterion_missing_from_catalog_skipped_with_warning(self):
         catalog, _ = load_config()
         doc = report_doc([obs("9.9.9", n_ok=5), obs("1.1.1", n_ok=2)])
@@ -181,12 +198,64 @@ class TestTotalTests:
         assert r.total_tests == 0
 
 
+def canonical_json(report):
+    """The canonical form's definition, which serialize_report must match
+    byte for byte."""
+    doc = report._asdict()
+    doc["assessor"] = doc.pop("profile")._asdict()
+    doc["observations"] = [
+        {"criterion" if k == "criterion_id" else k: v
+         for k, v in o._asdict().items()}
+        for o in doc["observations"].values()]
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+TEXT = st.text(st.one_of(st.characters(), st.sampled_from(
+    '"\\/\x00\n\t\x1f\x7f\u2028\u2029\xe9\U0001f600')), min_size=1)
+COEFFICIENT = st.one_of(st.sampled_from([0.0, 1.0, 5e-324, 0.1 + 0.2]),
+                        st.floats(0.0, 1.0))
+COUNT = st.integers(0, 2 ** 53)
+
+
+@st.composite
+def observations(draw, cid):
+    t_err, t_likely, t_potential = draw(COUNT), draw(COUNT), draw(COUNT)
+    return CriterionObservation(
+        cid, n_err=draw(st.integers(0, t_err)), n_ok=draw(COUNT),
+        n_likely=draw(st.integers(0, t_likely)),
+        n_potential=draw(st.integers(0, t_potential)), t_err=t_err,
+        t_likely=t_likely, t_potential=t_potential)
+
+
+@st.composite
+def reports(draw):
+    cids = draw(st.lists(TEXT, max_size=40, unique=True))
+    return AssessorReport(
+        AssessorProfile(draw(TEXT), *[draw(COEFFICIENT) for _ in range(4)]),
+        draw(TEXT), {cid: draw(observations(cid)) for cid in cids})
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("seed", [1, 7, 42])
     @pytest.mark.parametrize("kind", FIXTURE_KINDS)
     def test_parse_serialize_roundtrip(self, seed, kind):
         r = parse_report(generate_fixture(seed, kind))
         assert parse_report(serialize_report(r)) == r
+
+    @given(reports())
+    @example(AssessorReport(AssessorProfile("t"), "u"))
+    @example(AssessorReport(AssessorProfile('\u2028"\\\n\xe9', 0, 1, 5e-324,
+                                            0.1 + 0.2), "https://\u00e9/"))
+    def test_serialize_matches_json_dumps(self, report):
+        text = serialize_report(report)
+        assert text == canonical_json(report)
+        assert parse_report(text) == report
+
+    @pytest.mark.parametrize("kind", FIXTURE_KINDS)
+    def test_fixtures_match_json_dumps(self, kind):
+        for seed in range(1000):
+            text = generate_fixture(seed, kind)
+            assert text == canonical_json(parse_report(text)), seed
 
 
 class TestFixtures:
