@@ -10,7 +10,7 @@ transform divides it back out at decision time.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import reduce
+from functools import partial, reduce
 from typing import Iterable
 
 from .errors import (
@@ -48,6 +48,10 @@ class MassFunction(namedtuple("MassFunction", "ac nac omega empty")):
                 and abs(self.empty - other.empty) <= tol)
 
 
+# unchecked, for results of checked inputs; tests/test_belief.py shows why
+_mass = partial(tuple.__new__, MassFunction)
+
+
 def make_mass(ac: float, nac: float, omega: float) -> MassFunction:
     """Build a conflict-free mass function from a normalized triple.
 
@@ -61,7 +65,7 @@ def make_mass(ac: float, nac: float, omega: float) -> MassFunction:
     s = ac + nac + omega
     if abs(s - 1.0) > NORM_TOL:
         raise NotNormalized(f"mass components sum to {s}, expected 1")
-    return MassFunction(ac / s, nac / s, omega / s, 0.0)
+    return _mass((ac / s, nac / s, omega / s, 0.0))
 
 
 def vacuous() -> MassFunction:
@@ -78,10 +82,10 @@ def discount(m: MassFunction, delta: float) -> MassFunction:
     """
     if not 0.0 <= delta <= 1.0:
         raise OutOfRange(f"reliability {delta} outside [0, 1]")
-    if m.empty > NEG_TOL:
+    ac, nac, omega, empty = m
+    if empty > NEG_TOL:
         raise ConflictPresent("cannot discount a mass carrying conflict")
-    return MassFunction(delta * m.ac, delta * m.nac,
-                        1.0 - delta * (1.0 - m.omega), 0.0)
+    return _mass((delta * ac, delta * nac, 1.0 - delta * (1.0 - omega), 0.0))
 
 
 def combine_conjunctive(a: MassFunction, b: MassFunction) -> MassFunction:
@@ -90,15 +94,16 @@ def combine_conjunctive(a: MassFunction, b: MassFunction) -> MassFunction:
     Mass is multiplied over intersecting focal sets; disagreement between the
     singletons, and any mass already on the empty set, lands on the empty set.
     """
-    ac = a.ac * b.ac + a.ac * b.omega + a.omega * b.ac
-    nac = a.nac * b.nac + a.nac * b.omega + a.omega * b.nac
-    omega = a.omega * b.omega
-    empty = (a.ac * b.nac + a.nac * b.ac
-             + a.empty * (b.ac + b.nac + b.omega + b.empty)
-             + b.empty * (a.ac + a.nac + a.omega))
+    (a_ac, a_nac, a_omega, a_empty), (b_ac, b_nac, b_omega, b_empty) = a, b
+    ac = a_ac * b_ac + a_ac * b_omega + a_omega * b_ac
+    nac = a_nac * b_nac + a_nac * b_omega + a_omega * b_nac
+    omega = a_omega * b_omega
+    empty = (a_ac * b_nac + a_nac * b_ac
+             + a_empty * (b_ac + b_nac + b_omega + b_empty)
+             + b_empty * (a_ac + a_nac + a_omega))
     total = ac + nac + omega + empty
     # products of near-unit floats drift below tolerance; rescale exactly
-    return MassFunction(ac / total, nac / total, omega / total, empty / total)
+    return _mass((ac / total, nac / total, omega / total, empty / total))
 
 
 def combine_all(sources: Iterable[MassFunction]) -> MassFunction:

@@ -96,7 +96,8 @@ def _render_explain(url: str, d: FrameDecision, ascii_mode: bool) -> str:
 def _read_report(path: str, catalog: Mapping,
                  caught: List[warnings.WarningMessage]) -> AssessorReport:
     try:
-        return parse_report(Path(path).read_bytes(), catalog)
+        with open(path, "rb") as f:
+            return parse_report(f.read(), catalog)
     finally:  # a criterion missing from the catalog, one line each
         for w in caught:
             print(f"warning: {path}: {w.message}", file=sys.stderr)

@@ -45,11 +45,11 @@ class EstimationParts(namedtuple(
     __slots__ = ()
 
     def triple(self) -> EstimationTriple:
+        num_ac, den_ac, num_nac, den_nac, num_omega, den_omega = self
         return EstimationTriple(
-            e_ac=self.num_ac / self.den_ac if self.den_ac > 0 else 0.0,
-            e_nac=self.num_nac / self.den_nac if self.den_nac > 0 else 0.0,
-            e_omega=(self.num_omega / self.den_omega
-                     if self.den_omega > 0 else 0.0))
+            num_ac / den_ac if den_ac > 0 else 0.0,
+            num_nac / den_nac if den_nac > 0 else 0.0,
+            num_omega / den_omega if den_omega > 0 else 0.0)
 
 
 class AccessLevel(Enum):
@@ -58,6 +58,8 @@ class AccessLevel(Enum):
     MODERATE = "moderate"
     GOOD = "good"
     VERY_GOOD = "very good"
+
+    __hash__ = object.__hash__  # as DeficiencyFrame; glyph lookups hash
 
     @property
     def glyph(self) -> str:
@@ -124,9 +126,8 @@ def estimate_parts(report: AssessorReport, frame: FrameOrGlobal,
         num_omega += (n_likely * alpha * beta_likely
                       + n_potential * alpha * beta_potential)
         den_omega += t_likely + t_potential
-    return EstimationParts(num_ac=num_ac, den_ac=float(report.total_tests),
-                           num_nac=num_nac, den_nac=float(den_nac),
-                           num_omega=num_omega, den_omega=float(den_omega))
+    return EstimationParts(num_ac, float(report.total_tests), num_nac,
+                           float(den_nac), num_omega, float(den_omega))
 
 
 def masses_from_estimates(e: EstimationTriple) -> MassFunction:
@@ -175,14 +176,14 @@ def score_frame(reports: Iterable[AssessorReport], frame: FrameOrGlobal,
     sources = []
     names = set()
     for idx, report in enumerate(report_list):
-        name = report.profile.name
+        name, _, _, _, delta = report.profile
         if name in names:
             name = f"{name}#{idx}"
         names.add(name)
         parts = estimate_parts(report, frame, catalog)
         m = masses_from_estimates(parts.triple())
-        sources.append(SourceResult(name, report.profile.delta, parts, m,
-                                    belief.discount(m, report.profile.delta)))
+        sources.append(SourceResult(name, delta, parts, m,
+                                    belief.discount(m, delta)))
 
     fused = belief.combine_all(s.discounted for s in sources)
     try:

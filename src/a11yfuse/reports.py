@@ -24,8 +24,8 @@ FIXTURE_KINDS = ("balanced", "error-heavy", "potential-heavy")
 class AssessorProfile(namedtuple(
         "AssessorProfile", "name beta_err beta_likely beta_potential delta")):
     """Identity and trust parameters of one automatic assessor; omitted
-    parameters take WeightConfig's class constants. Each parameter must be
-    an int or float (not a bool) in [0, 1], and is stored as a float."""
+    parameters take WeightConfig's class constants. The name is a string;
+    each parameter an int or float (not a bool) in [0, 1], stored as float."""
 
     __slots__ = ()
 
@@ -35,6 +35,8 @@ class AssessorProfile(namedtuple(
                 delta: float = WeightConfig.delta):
         if not name:
             raise SchemaError("assessor name must be non-empty")
+        if not isinstance(name, str):
+            raise SchemaError(f"assessor name must be a string, got {name!r}")
         values = (beta_err, beta_likely, beta_potential, delta)
         for label, v in zip(_PROFILE_KEYS, values):
             if type(v) not in (int, float) or not 0.0 <= v <= 1.0:
@@ -58,20 +60,7 @@ class CriterionObservation(namedtuple(
                 t_likely: int = 0, t_potential: int = 0):
         self = tuple.__new__(cls, (criterion_id, n_err, n_ok, n_likely,
                                    n_potential, t_err, t_likely, t_potential))
-        for key, v in zip(_OBS_KEYS, self[1:]):
-            if type(v) is not int or v < 0:
-                raise SchemaError(f"criterion {criterion_id}: {key} must be "
-                                  f"a non-negative integer, got {v!r}")
-            if v > 2 ** 53:
-                raise SchemaError(f"criterion {criterion_id}: {key} is above "
-                                  f"2**53, the largest exact float count")
-        for n, t, label in ((n_err, t_err, "errors"),
-                            (n_likely, t_likely, "likely problems"),
-                            (n_potential, t_potential, "potential problems")):
-            if n > t:
-                raise CountInconsistency(
-                    f"criterion {criterion_id}: {n} {label} observed "
-                    f"but only {t} applicable tests")
+        _check_counts(criterion_id, self[1:])
         return self
 
     @property
@@ -80,6 +69,33 @@ class CriterionObservation(namedtuple(
 
 
 _OBS_KEYS = CriterionObservation._fields[1:]
+
+
+def _check_counts(criterion_id: str, counts: tuple) -> None:
+    """Raise the first fault of the seven counts, in _OBS_KEYS order."""
+    n_err, n_ok, n_likely, n_potential, t_err, t_likely, t_potential = counts
+    if (type(n_err) is type(n_ok) is type(n_likely) is type(n_potential)
+            is type(t_err) is type(t_likely) is type(t_potential) is int
+            and 0 <= n_ok <= 2 ** 53 and 0 <= n_err <= t_err <= 2 ** 53
+            and 0 <= n_likely <= t_likely <= 2 ** 53
+            and 0 <= n_potential <= t_potential <= 2 ** 53):
+        return
+    for key, v in zip(_OBS_KEYS, counts):
+        if type(v) is not int or v < 0:
+            raise SchemaError(f"criterion {criterion_id}: {key} must be "
+                              f"a non-negative integer, got {v!r}")
+        if v > 2 ** 53:
+            raise SchemaError(f"criterion {criterion_id}: {key} is above "
+                              f"2**53, the largest exact float count")
+    for n, t, label in ((n_err, t_err, "errors"),
+                        (n_likely, t_likely, "likely problems"),
+                        (n_potential, t_potential, "potential problems")):
+        if n > t:
+            raise CountInconsistency(
+                f"criterion {criterion_id}: {n} {label} observed "
+                f"but only {t} applicable tests")
+
+
 _ENTRY_KEYS = frozenset(("criterion", *_OBS_KEYS))
 _ASSESSOR_KEYS = frozenset(("name", *_PROFILE_KEYS))
 _REPORT_KEYS = frozenset(("assessor", "url", "observations", "total_tests"))
@@ -144,39 +160,47 @@ def parse_report(document,
         raise SchemaError(f"bad assessor block: {assessor!r}")
     if not _ASSESSOR_KEYS.issuperset(assessor):
         raise _unknown_keys("assessor block", assessor, _ASSESSOR_KEYS)
-    profile = AssessorProfile(**{**assessor, "name": str(assessor["name"])})
+    profile = AssessorProfile(**assessor)
 
     observations: Dict[str, CriterionObservation] = {}
-    skipped: Dict[str, CriterionObservation] = {}
+    skipped = set()
+    total = document_total = 0
     for entry in raw_obs:
         if not isinstance(entry, dict) or "criterion" not in entry:
             raise SchemaError(f"bad observation entry: {entry!r}")
-        cid = str(entry["criterion"])
+        cid = entry["criterion"]
+        if not isinstance(cid, str):
+            raise SchemaError(f"criterion must be a string, got {cid!r}")
         if not _ENTRY_KEYS.issuperset(entry):
             raise _unknown_keys(f"criterion {cid}", entry, _ENTRY_KEYS)
         if cid in observations or cid in skipped:
             raise SchemaError(f"duplicate observation for criterion {cid}")
-        obs = CriterionObservation(
-            cid, *[entry.get(key, 0) for key in _OBS_KEYS])
+        get = entry.get
+        counts = (get("n_err", 0), get("n_ok", 0), get("n_likely", 0),
+                  get("n_potential", 0), get("t_err", 0), get("t_likely", 0),
+                  get("t_potential", 0))
+        _check_counts(cid, counts)
+        tests_run = sum(counts[:4])  # n_err + n_ok + n_likely + n_potential
+        document_total += tests_run
         if catalog is None or cid in catalog:
-            observations[cid] = obs
+            observations[cid] = tuple.__new__(CriterionObservation,
+                                              (cid, *counts))
+            total += tests_run
         else:
             warnings.warn(f"skipping unknown criterion {cid}", stacklevel=2)
-            skipped[cid] = obs
+            skipped.add(cid)
 
-    report = AssessorReport(profile=profile, url=url, observations=observations)
     if "total_tests" in document:
         # the document's total covers its skipped entries too
         stored = document["total_tests"]
         if type(stored) is not int:
             raise SchemaError(f"total_tests must be an integer, got "
                               f"{stored!r}")
-        total = report.total_tests + sum(o.tests_run for o in skipped.values())
-        if stored != total:
+        if stored != document_total:
             raise CountInconsistency(
                 f"stored total_tests={stored} does not match the "
-                f"recomputed sum {total}")
-    return report
+                f"recomputed sum {document_total}")
+    return tuple.__new__(AssessorReport, (profile, url, observations, total))
 
 
 # The canonical form is json.dumps(doc, indent=2, sort_keys=True) plus a

@@ -42,6 +42,7 @@ FrameOrGlobal = Union[DeficiencyFrame, str]
 
 #: The five scored frames in output order: the deficiency frames, then global.
 FRAMES = (*DeficiencyFrame, GLOBAL)
+_frame_sets = (None, {})  # last read-only catalog (held), its frame sets
 
 
 def resolve_frame(name: FrameOrGlobal) -> FrameOrGlobal:
@@ -101,14 +102,25 @@ class CriterionSpec(namedtuple("CriterionSpec", "id level frames alpha")):
         return tuple.__new__(cls, (id, level, frames, alpha))
 
 
+def _ids_in_frame(catalog: Mapping, frame: FrameOrGlobal) -> frozenset:
+    return frozenset(cid for cid, c in catalog.items()
+                     if frame == GLOBAL or frame in c.frames)
+
+
 def criteria_in_frame(catalog: Mapping[str, CriterionSpec],
-                      frame: FrameOrGlobal) -> set:
-    """Ids of the criteria belonging to one deficiency frame, or of all of
-    them for the global pseudo-frame."""
+                      frame: FrameOrGlobal) -> frozenset:
+    """Ids of the criteria in one deficiency frame, or all of them for the
+    global pseudo-frame. The five sets of the last read-only catalog asked
+    about (as load_config returns) are kept; any other mapping is scanned."""
+    global _frame_sets
     frame = resolve_frame(frame)
-    if frame == GLOBAL:
-        return set(catalog)
-    return {cid for cid, c in catalog.items() if frame in c.frames}
+    if type(catalog) is not MappingProxyType:
+        return _ids_in_frame(catalog, frame)
+    last, sets = _frame_sets  # one read, so another thread cannot mix them
+    if last is not catalog:
+        sets = {f: _ids_in_frame(catalog, f) for f in FRAMES}
+        _frame_sets = catalog, sets
+    return sets[frame]
 
 
 def _unknown_keys(where: str, doc: dict, allowed: frozenset) -> SchemaError:
@@ -126,7 +138,9 @@ def _build_catalog(entries: Iterable[dict], w: WeightConfig) -> Mapping:
     criteria: Dict[str, CriterionSpec] = {}
     for entry in entries:
         try:
-            cid = str(entry["id"])
+            cid = entry["id"]
+            if not isinstance(cid, str):
+                raise SchemaError(f"catalog id must be a string, got {cid!r}")
             level = ConformanceLevel(entry["level"])
             frames = frozenset(DeficiencyFrame(f) for f in entry["frames"])
         except (KeyError, TypeError, ValueError) as exc:

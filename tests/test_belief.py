@@ -1,4 +1,5 @@
 import math
+import struct
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -207,3 +208,99 @@ class TestProperties:
         assert abs(got.nac - ref[NAC]) <= 1e-12
         assert abs(got.omega - ref[OMEGA]) <= 1e-12
         assert abs(got.empty - ref[EMPTY]) <= 1e-12
+
+
+# The three builders skip MassFunction's checks on their results. The
+# references below are their arithmetic as it was when each result went
+# through MassFunction(...), checks included.
+def checked_make_mass(ac, nac, omega):
+    ac, nac, omega = max(ac, 0.0), max(nac, 0.0), max(omega, 0.0)
+    s = ac + nac + omega
+    return MassFunction(ac / s, nac / s, omega / s, 0.0)
+
+
+def checked_discount(m, delta):
+    return MassFunction(delta * m.ac, delta * m.nac,
+                        1.0 - delta * (1.0 - m.omega), 0.0)
+
+
+def checked_combine(a, b):
+    ac = a.ac * b.ac + a.ac * b.omega + a.omega * b.ac
+    nac = a.nac * b.nac + a.nac * b.omega + a.omega * b.nac
+    omega = a.omega * b.omega
+    empty = (a.ac * b.nac + a.nac * b.ac
+             + a.empty * (b.ac + b.nac + b.omega + b.empty)
+             + b.empty * (a.ac + a.nac + a.omega))
+    total = ac + nac + omega + empty
+    return MassFunction(ac / total, nac / total, omega / total, empty / total)
+
+
+TINY = st.sampled_from([0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-17,
+                        2 ** -53])
+UNIT = st.one_of(TINY, st.sampled_from([1.0, 1 - 2 ** -53]),
+                 st.floats(0.0, 1.0))
+
+
+@st.composite
+def triples(draw):
+    """make_mass inputs: a non-negative triple scaled to sum 1, one part
+    moved by drift inside the tolerances (below 0 by at most 1e-12)."""
+    raw = [draw(UNIT) for _ in range(3)]
+    s = sum(raw)
+    t = [v / s for v in raw] if s > 0 else [0.0, 0.0, 1.0]
+    t[draw(st.integers(0, 2))] += draw(st.one_of(
+        st.just(0.0), st.floats(-1e-12, 5e-10)))
+    return t
+
+
+@st.composite
+def near_certain(draw):
+    """A source all but certain of one singleton, so that two of them that
+    disagree fuse to almost total conflict."""
+    eps = draw(st.one_of(TINY, st.floats(0.0, 1e-9)))
+    t = [1.0 - eps, eps, 0.0]
+    if draw(st.booleans()):
+        t[0], t[1] = t[1], t[0]
+    return make_mass(*t)
+
+
+CONFLICT_FREE = st.one_of(triples().map(lambda t: make_mass(*t)),
+                          near_certain())
+ANY_MASS = st.one_of(
+    CONFLICT_FREE, masses(with_conflict=True),
+    st.tuples(CONFLICT_FREE, CONFLICT_FREE).map(
+        lambda ab: combine_conjunctive(*ab)))
+
+
+def same_bits(got, want):
+    return type(got) is MassFunction and \
+        struct.pack("<4d", *got) == struct.pack("<4d", *want)
+
+
+class TestResultsCheckedOnce:
+    @given(triples())
+    @example([1.0, 0.0, 0.0])
+    @example([5e-324, 0.0, 1.0])
+    @example([-1e-12, 0.5, 0.5 + 5e-10])
+    def test_make_mass(self, t):
+        got = make_mass(*t)
+        assert same_bits(got, checked_make_mass(*t))
+        assert MassFunction(*got) == got
+
+    @given(CONFLICT_FREE, UNIT)
+    def test_discount(self, m, delta):
+        got = discount(m, delta)
+        assert same_bits(got, checked_discount(m, delta))
+        assert MassFunction(*got) == got
+
+    @given(st.one_of(st.tuples(ANY_MASS, ANY_MASS),
+                     st.tuples(near_certain(), near_certain()),
+                     st.tuples(near_certain(), CONFLICT_FREE)
+                     .map(lambda ab: (combine_conjunctive(*ab), ab[0]))))
+    @example((make_mass(1.0, 0.0, 0.0), make_mass(0.0, 1.0, 0.0)))
+    @example((make_mass(1 - 5e-324, 5e-324, 0.0),
+              make_mass(5e-324, 1 - 5e-324, 0.0)))
+    def test_combine_conjunctive(self, pair):
+        got = combine_conjunctive(*pair)
+        assert same_bits(got, checked_combine(*pair))
+        assert MassFunction(*got) == got

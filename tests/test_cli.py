@@ -414,6 +414,37 @@ class TestConfigErrors:
                              "--page", *fixture_pair)
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("cid", [7, 1.1, None, True, ["1.1.1"]])
+    def test_catalog_id_must_be_a_string_exit_1(self, capsys, tmp_path, cid):
+        # {"id": 7} once matched a report's {"criterion": 7} and scored
+        catalog = write_json(tmp_path / "catalog.json",
+                             [{**ONE_CRITERION, "id": cid}])
+        report = write_json(tmp_path / "r.json", {
+            "assessor": {"name": "t"}, "url": "u",
+            "observations": [{"criterion": cid, "n_ok": 1}]})
+        code, out, err = run(capsys, "score", "--catalog", catalog,
+                             "--page", report)
+        assert (code, out, err) == \
+            (1, "", f"error: catalog id must be a string, got {cid!r}\n")
+
+    @pytest.mark.parametrize("name, cid, message", [
+        (None, "1.1.1", "assessor name must be non-empty"),
+        (["tool"], "1.1.1", "assessor name must be a string, got ['tool']"),
+        ("t", 1.1, "criterion must be a string, got 1.1"),
+        ("t", 7, "criterion must be a string, got 7"),
+    ])
+    def test_report_names_and_ids_must_be_strings_exit_1(
+            self, capsys, tmp_path, fixture_pair, name, cid, message):
+        # a null name once scored as assessor "None", and 1.1 as "1.1"
+        path = write_json(tmp_path / "r.json", {
+            "assessor": {"name": name}, "url": "u",
+            "observations": [{"criterion": cid, "n_ok": 1}]})
+        code, out, err = run(capsys, "score", "--format", "tsv",
+                             "--page", path, "--page", *fixture_pair)
+        assert code == 1
+        assert err == f"error: {path}: {message}\n"
+        assert len(out.splitlines()) == 2  # the header and the good page
+
     def test_misspelled_report_key_exit_1(self, capsys, tmp_path):
         # five errors under a misspelled key once scored as "very good"
         path = write_json(tmp_path / "r.json", {

@@ -1,10 +1,11 @@
 import json
+import re
 import warnings
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from a11yfuse.errors import CountInconsistency, SchemaError
+from a11yfuse.errors import CountInconsistency, IndicatorError, SchemaError
 from a11yfuse.reports import (
     FIXTURE_KINDS,
     AssessorProfile,
@@ -185,6 +186,126 @@ class TestUnknownKeys:
         doc["assessor"] = assessor
         with pytest.raises(SchemaError, match="bad assessor block"):
             parse_report(doc)
+
+
+class TestNamesAndIdsAreStrings:
+    # each was once passed through str(): null scored as assessor "None",
+    # and a criterion 1.1 matched catalog id "1.1"
+    @pytest.mark.parametrize("name, message", [
+        (None, "assessor name must be non-empty"),
+        (["tool"], "assessor name must be a string, got ['tool']"),
+        (7, "assessor name must be a string, got 7"),
+        (True, "assessor name must be a string, got True"),
+    ])
+    def test_assessor_name(self, name, message):
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+            parse_report(report_doc([obs()], name=name))
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+            AssessorProfile(name)
+
+    @pytest.mark.parametrize("cid", [1.1, 7, None, ["1.1.1"], True])
+    def test_criterion(self, cid):
+        with pytest.raises(SchemaError, match=re.escape(
+                f"criterion must be a string, got {cid!r}")):
+            parse_report(report_doc([obs(cid)]))
+
+
+OBS_KEYS = ("n_err", "n_ok", "n_likely", "n_potential", "t_err", "t_likely",
+            "t_potential")
+ODD_COUNTS = (0, 2 ** 53, 2 ** 53 + 1, -1, True, 1.0, None, "3")
+
+
+@st.composite
+def count_entries(draw):
+    """The counts of one observation entry: some left out, small ints that
+    often give n > t, and up to two counts set to edge or wrong values."""
+    keys = draw(st.lists(st.sampled_from(OBS_KEYS), unique=True))
+    counts = {key: draw(st.integers(0, 6)) for key in keys}
+    for key in draw(st.lists(st.sampled_from(OBS_KEYS), max_size=2)):
+        counts[key] = draw(st.sampled_from(ODD_COUNTS))
+    return counts
+
+
+def count_fault(cid, counts):
+    """The first fault of an entry's counts, as (error type, message), by
+    a plain scan in the order the schema checks them; None if valid."""
+    full = [counts.get(key, 0) for key in OBS_KEYS]
+    for key, v in zip(OBS_KEYS, full):
+        if type(v) is not int or v < 0:
+            return SchemaError, (f"criterion {cid}: {key} must be a "
+                                 f"non-negative integer, got {v!r}")
+        if v > 2 ** 53:
+            return SchemaError, (f"criterion {cid}: {key} is above 2**53, "
+                                 f"the largest exact float count")
+    n_err, _, n_likely, n_potential, t_err, t_likely, t_potential = full
+    for n, t, label in ((n_err, t_err, "errors"),
+                        (n_likely, t_likely, "likely problems"),
+                        (n_potential, t_potential, "potential problems")):
+        if n > t:
+            return CountInconsistency, (f"criterion {cid}: {n} {label} "
+                                        f"observed but only {t} applicable "
+                                        f"tests")
+    return None
+
+
+class TestOnePassMatchesConstructor:
+    """parse_report checks each entry with CriterionObservation's checks
+    and builds it without them; both must agree on every entry, and with
+    a plain scan of the counts."""
+
+    CATALOG = load_config()[0]
+
+    @staticmethod
+    def outcome(make):
+        try:
+            return make()
+        except IndicatorError as exc:
+            return type(exc), str(exc)
+
+    @pytest.mark.parametrize("cid", ["1.1.1", "9.9.9"])
+    def test_each_count_alone(self, cid):
+        for key in OBS_KEYS:
+            for value in ODD_COUNTS:
+                self.check([(cid, {key: value})])
+                self.check([(cid, {**dict.fromkeys(OBS_KEYS, 2 ** 53),
+                                   key: value})])
+
+    @given(st.lists(st.tuples(st.sampled_from(["1.1.1", "1.4.3", "9.9.9",
+                                               "8.8.8"]), count_entries()),
+                    max_size=4, unique_by=lambda e: e[0]))
+    @example([("1.1.1", {"n_err": 2 ** 53, "t_err": 2 ** 53,
+                         "n_ok": 2 ** 53})])
+    @example([("9.9.9", {"n_err": 2, "t_err": 1}), ("1.1.1", {"n_ok": -1})])
+    def test_same_error_or_same_observations(self, entries):
+        self.check(entries)
+
+    def check(self, entries):
+        # the constructor is the reference: the first entry it rejects
+        # decides the error; otherwise the kept entries are the report
+        want = [self.outcome(lambda: CriterionObservation(cid, **counts))
+                for cid, counts in entries]
+        for w, (cid, counts) in zip(want, entries):
+            assert w == (count_fault(cid, counts) or
+                         CriterionObservation(cid, **counts))
+        doc = report_doc([{"criterion": cid, **counts}
+                          for cid, counts in entries])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = self.outcome(lambda: parse_report(doc, self.CATALOG))
+            errors = [w for w in want if type(w) is tuple]
+            if errors:
+                assert got == errors[0]
+                return
+            kept = {o.criterion_id: o for o in want
+                    if o.criterion_id in self.CATALOG}
+            assert got.observations == kept
+            assert all(type(o) is CriterionObservation
+                       for o in got.observations.values())
+            assert got.total_tests == sum(o.tests_run for o in kept.values())
+            assert got == AssessorReport(got.profile, got.url, kept)
+            # the stored total covers the skipped entries too
+            doc["total_tests"] = sum(o.tests_run for o in want)
+            assert parse_report(doc, self.CATALOG) == got
 
 
 class TestTotalTests:

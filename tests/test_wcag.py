@@ -1,9 +1,12 @@
 import json
+import sys
+import threading
 
 import pytest
 
 from a11yfuse.errors import SchemaError, UnknownFrame
 from a11yfuse.wcag import (
+    FRAMES,
     GLOBAL,
     ConformanceLevel,
     CriterionSpec,
@@ -80,6 +83,80 @@ class TestCriteriaInFrame:
         assert resolve_frame("global") == GLOBAL
         with pytest.raises(UnknownFrame):
             resolve_frame("auditory")
+
+
+def scanned_ids(catalog, frame):
+    """criteria_in_frame as it was before it kept sets: a scan per call."""
+    frame = resolve_frame(frame)
+    if frame == GLOBAL:
+        return set(catalog)
+    return {cid for cid, c in catalog.items() if frame in c.frames}
+
+
+class TestFrameSetsBuiltOnce:
+    @pytest.mark.parametrize("make", [lambda: load_config()[0],
+                                      small_catalog, lambda: {}])
+    def test_every_frame_as_a_scan(self, make):
+        catalog = make()
+        for frame in FRAMES:
+            got = criteria_in_frame(catalog, frame)
+            assert type(got) is frozenset
+            assert got == scanned_ids(catalog, frame)
+            name = getattr(frame, "value", frame)
+            assert criteria_in_frame(catalog, name) == got
+
+    def test_read_only_catalog_keeps_its_sets(self):
+        catalog = small_catalog()
+        first = criteria_in_frame(catalog, DeficiencyFrame.VISUAL)
+        assert criteria_in_frame(catalog, "visual") is first
+
+    def test_two_catalogs_alternately(self):
+        packaged, small = load_config()[0], small_catalog()
+        for _ in range(3):
+            for catalog in (packaged, small, dict(small)):
+                for frame in FRAMES:
+                    assert criteria_in_frame(catalog, frame) == \
+                        scanned_ids(catalog, frame)
+
+    def test_threads_alternating_catalogs(self):
+        # threads that keep replacing the kept catalog each still get the
+        # sets of the catalog they pass
+        catalogs = [load_config()[0], small_catalog(), load_config(
+            [{"id": "c9", "level": "AAA", "frames": ["motor"]}])[0]]
+        want = [{f: scanned_ids(c, f) for f in FRAMES} for c in catalogs]
+        wrong = []
+
+        def work(k):
+            for i in range(300):
+                j = (i + k) % len(catalogs)
+                for f in FRAMES:
+                    if criteria_in_frame(catalogs[j], f) != want[j][f]:
+                        wrong.append((j, f))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,))
+                       for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
+    def test_plain_dict_changed_between_calls(self):
+        catalog = dict(small_catalog())
+        assert criteria_in_frame(catalog, "hearing") == {"c2"}
+        catalog["c3"] = CriterionSpec("c3", ConformanceLevel.A,
+                                      frozenset({DeficiencyFrame.HEARING}),
+                                      1.0)
+        assert criteria_in_frame(catalog, "hearing") == {"c2", "c3"}
+        del catalog["c2"]
+        assert criteria_in_frame(catalog, "hearing") == {"c3"}
+        assert criteria_in_frame(catalog, GLOBAL) == {"c1", "c3"}
 
 
 class TestDefaultCatalog:
