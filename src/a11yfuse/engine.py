@@ -104,7 +104,8 @@ def estimate_parts(report: AssessorReport, frame: FrameOrGlobal,
     out; .triple() divides them, a zero denominator giving a zero term.
 
     Correct checkpoints are normalized by the assessor's total test count
-    over ALL frames (report.total_tests); errors and uncertain problems are
+    over every observation the catalog keeps, in all frames
+    (report.total_tests); errors and uncertain problems are
     normalized by the frame-restricted test totals. Only the report's
     observations whose ids criteria_in_frame returns contribute.
     """

@@ -49,8 +49,11 @@ def resolve_frame(name: FrameOrGlobal) -> FrameOrGlobal:
     """Map a frame name (or enum member) to its canonical form."""
     if isinstance(name, DeficiencyFrame) or name == GLOBAL:
         return name
+    key = str(name).lower()
+    if key == GLOBAL:
+        return GLOBAL
     try:
-        return DeficiencyFrame(str(name).lower())
+        return DeficiencyFrame(key)
     except ValueError:
         names = ", ".join(getattr(f, "value", f) for f in FRAMES)
         raise UnknownFrame(f"unknown frame {name!r}; expected one of "

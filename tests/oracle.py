@@ -1,8 +1,13 @@
-"""Independent straight-line oracles for the test suite.
+"""Independent straight-line oracle for the combination rule.
 
 Deliberately implemented from scratch on top of frozensets and plain dicts,
-with no imports from the package under test, so they can serve as a second
-opinion on the combination rule and the whole scoring pipeline.
+with no imports from the package under test, so it can serve as a second
+opinion on the conjunctive rule.
+
+The reference for the whole scoring pipeline is bench/reference.py, shared
+with the benchmark. The suite uses these of its names: score_frame (and the
+sources, fused, decision and discounted fields of its result), FRAMES,
+ALPHA, levels_near and the focal sets AC, NAC, OMEGA and EMPTY.
 """
 
 from __future__ import annotations
@@ -27,78 +32,3 @@ def combine_bruteforce(a: dict, b: dict) -> dict:
     for x, y in product(SUBSETS, SUBSETS):
         out[x & y] += a[x] * b[y]
     return out
-
-
-def combine_many_bruteforce(masses):
-    result = None
-    for m in masses:
-        result = m if result is None else combine_bruteforce(result, m)
-    return result
-
-
-def pignistic_bruteforce(m: dict) -> float:
-    """Split each focal set's mass evenly over its elements, then condition
-    on the non-empty part."""
-    p = 0.0
-    for s, v in m.items():
-        if s and "Ac" in s:
-            p += v / len(s)
-    return p / (1.0 - m[EMPTY])
-
-
-def discretize_oracle(d: float, thresholds) -> str:
-    s1, s2, s3, s4 = thresholds
-    if d >= s4:
-        return "very good"
-    if d >= s3:
-        return "good"
-    if d >= s2:
-        return "moderate"
-    if d >= s1:
-        return "bad"
-    return "very bad"
-
-
-def pipeline_oracle(report_docs, catalog_entries, frame, weights=None,
-                    thresholds=(0.6, 0.7, 0.8, 0.9)):
-    """Score one frame from raw report dicts, reimplementing the whole
-    pipeline in straight-line arithmetic.
-
-    catalog_entries: mapping id -> (alpha, set-of-frame-names).
-    frame: frame name, or "global" for all criteria.
-    Returns (decision, level_name, fused_setmap).
-    """
-    sources = []
-    for doc in report_docs:
-        prof = doc["assessor"]
-        total = sum(o["n_err"] + o["n_likely"] + o["n_potential"] + o["n_ok"]
-                    for o in doc["observations"])
-        num_ac = num_nac = num_om = 0.0
-        den_nac = den_om = 0
-        for o in doc["observations"]:
-            cid = o["criterion"]
-            if cid not in catalog_entries:
-                continue
-            alpha, frames = catalog_entries[cid]
-            if frame != "global" and frame not in frames:
-                continue
-            num_ac += o["n_ok"] * alpha
-            num_nac += o["n_err"] * alpha * prof["beta_err"]
-            den_nac += o["t_err"]
-            num_om += (o["n_likely"] * alpha * prof["beta_likely"]
-                       + o["n_potential"] * alpha * prof["beta_potential"])
-            den_om += o["t_likely"] + o["t_potential"]
-        e_ac = num_ac / total if total else 0.0
-        e_nac = num_nac / den_nac if den_nac else 0.0
-        e_om = num_om / den_om if den_om else 0.0
-        s = e_ac + e_nac + e_om
-        if s == 0.0:
-            m = to_setmap(0.0, 0.0, 1.0)
-        else:
-            m = to_setmap(e_ac / s, e_nac / s, e_om / s)
-        d = prof["delta"]
-        m = to_setmap(d * m[AC], d * m[NAC], 1.0 - d * (1.0 - m[OMEGA]))
-        sources.append(m)
-    fused = combine_many_bruteforce(sources)
-    decision = pignistic_bruteforce(fused)
-    return decision, discretize_oracle(decision, thresholds), fused

@@ -583,6 +583,13 @@ class TestExplain:
         assert code == 1
         assert "unknown frame" in err
 
+    def test_frame_name_ignores_case(self, capsys, fixture_pair):
+        lower = run(capsys, "explain", "--frame", "global",
+                    "--page", *fixture_pair)
+        assert lower[0] == 0
+        assert run(capsys, "explain", "--frame", "GLOBAL",
+                   "--page", *fixture_pair) == lower
+
     def test_worked_example_trace(self, capsys, tmp_path):
         catalog = [{"id": "c1", "level": "A", "frames": ["visual"]}]
         cpath = tmp_path / "catalog.json"

@@ -1,9 +1,13 @@
 import itertools
 import json
 import math
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from a11yfuse.belief import MassFunction, make_mass, pignistic, vacuous
 from a11yfuse.engine import (
@@ -19,13 +23,18 @@ from a11yfuse.engine import (
 from a11yfuse.errors import EmptySourceSet, MixedUrls, OutOfRange
 from a11yfuse.reports import FIXTURE_KINDS, generate_fixture, parse_report
 from a11yfuse.wcag import (
+    FRAMES,
     GLOBAL,
     DeficiencyFrame,
     WeightConfig,
     load_config,
 )
 
-from oracle import AC, EMPTY, NAC, OMEGA, pipeline_oracle
+import reference as ref
+
+ROOT = Path(__file__).resolve().parents[1]
+ENTRIES = json.loads((ROOT / "src" / "a11yfuse" / "data" /
+                      "wcag20_criteria.json").read_text(encoding="utf-8"))
 
 
 def one_criterion_catalog(weights=None):
@@ -50,6 +59,108 @@ def report_for(n_ok=0, n_err=0, n_likely=0, n_potential=0,
             "t_potential": t_potential}],
     }
     return parse_report(doc)
+
+
+def frames_against_reference(docs, entries, weights=None):
+    """Score raw report documents with the package under the catalog
+    `entries` and optional level weights {"a", "aa", "aaa"}, and with
+    bench/reference.py under the same catalog. Returns a (FrameDecision,
+    reference FrameRef) pair per frame, in FRAMES order."""
+    catalog, w = load_config({"criteria": entries, "weights": weights or {}})
+    alpha = ({level: weights[level.lower()] for level in ref.ALPHA}
+             if weights else ref.ALPHA)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # entries the catalog skips
+        reports = [parse_report(doc, catalog) for doc in docs]
+    page = score_page(reports, catalog, w)
+    ref_catalog = {e["id"]: (alpha[e["level"]], frozenset(e["frames"]))
+                   for e in entries}
+    return [(page[frame], ref.score_frame(docs, ref_catalog, name))
+            for frame, name in zip(FRAMES, ref.FRAMES)]
+
+
+def assert_mass_close(got, want, tol):
+    want = (want[ref.AC], want[ref.NAC], want[ref.OMEGA], want[ref.EMPTY])
+    assert all(abs(g - x) <= tol for g, x in zip(got, want)), (got, want)
+
+
+def decides_like_reference(got, want, tol=1e-9):
+    """Check one frame against the reference: every source's discounted
+    mass, the fused mass, the decision and its level, each to within tol.
+    A frame where either side keeps under 1e-9 of its mass off the empty
+    set is the named total-conflict outcome, where the package's decision
+    must be None or lie in [0, 1]. Returns whether the frame was decided."""
+    assert len(got.sources) == len(want.sources)
+    for source, want_source in zip(got.sources, want.sources):
+        assert_mass_close(source.discounted, want_source.discounted, tol)
+    assert_mass_close(got.fused, want.fused, tol)
+    committed = got.fused.ac + got.fused.nac + got.fused.omega
+    if min(committed, 1.0 - want.fused[ref.EMPTY]) < 1e-9:
+        assert got.decision is None or 0.0 <= got.decision <= 1.0
+        return False
+    # near total conflict each side divides by about `committed`, so a
+    # rounding of 1e-16 in a mass near 1 (the reference's 1 - m(empty),
+    # the discount's 1 - delta * (1 - omega)) moves a decision by about
+    # 1e-16 / committed; NEAR_CONFLICT shows it
+    tol += 1e-14 / committed
+    assert abs(got.decision - want.decision) <= tol
+    assert got.level.value in ref.levels_near(want.decision, tol)
+    return True
+
+
+COUNT = st.one_of(st.sampled_from((0, 1, 2 ** 53)), st.integers(0, 2 ** 53))
+COEFFICIENT = st.one_of(st.sampled_from((0, 1, 0.0, 1.0)),
+                        st.floats(0.0, 1.0))
+
+
+@st.composite
+def observation_doc(draw, cid):
+    t_err, t_likely, t_potential = draw(COUNT), draw(COUNT), draw(COUNT)
+    # min() keeps n <= t, and gives n = t whenever the draw reaches t
+    return {"criterion": cid, "n_err": min(t_err, draw(COUNT)),
+            "n_ok": draw(COUNT), "n_likely": min(t_likely, draw(COUNT)),
+            "n_potential": min(t_potential, draw(COUNT)),
+            "t_err": t_err, "t_likely": t_likely, "t_potential": t_potential}
+
+
+@st.composite
+def report_doc(draw):
+    """A report with every key present, observing any packaged criteria;
+    all assessors share one name, which the package makes unique."""
+    cids = draw(st.lists(st.sampled_from([e["id"] for e in ENTRIES]),
+                         unique=True))
+    observations = [draw(observation_doc(cid)) for cid in cids]
+    assessor = {key: draw(COEFFICIENT) for key in
+                ("beta_err", "beta_likely", "beta_potential", "delta")}
+    return {"assessor": {"name": "tool", **assessor},
+            "url": "https://example.test/", "observations": observations,
+            "total_tests": sum(o["n_err"] + o["n_ok"] + o["n_likely"]
+                               + o["n_potential"] for o in observations)}
+
+
+REPORT_DOC = report_doc()
+
+
+def contradicting_docs(n_potential):
+    """Two certain sources, one all correct and one all errors, that each
+    also found n_potential of 10**9 potential problems."""
+    def doc(n_ok, n_err):
+        observation = {"criterion": ENTRIES[0]["id"], "n_err": n_err,
+                       "n_ok": n_ok, "n_likely": 0,
+                       "n_potential": n_potential, "t_err": n_err,
+                       "t_likely": 0, "t_potential": 10 ** 9}
+        return {"assessor": {"name": "tool", "beta_err": 1,
+                             "beta_likely": 1, "beta_potential": 1,
+                             "delta": 1},
+                "url": "https://example.test/",
+                "observations": [observation],
+                "total_tests": n_ok + n_err + n_potential}
+    return [doc(1, 0), doc(0, 1)]
+
+
+# 3e-9 of the fused mass is off the empty set, and the package's decision
+# and the reference's differ by 1.3e-8
+NEAR_CONFLICT = contradicting_docs(1)
 
 
 class TestEstimate:
@@ -255,21 +366,55 @@ class TestScorePage:
             assert result[frame].decision == 0.5
             assert result[frame].level is AccessLevel.VERY_BAD
 
-    def test_fixture_pair_matches_pipeline_oracle(self):
-        catalog, w = load_config()
-        docs = [json.loads(generate_fixture(7, "error-heavy")),
-                json.loads(generate_fixture(7, "potential-heavy"))]
-        reports = [parse_report(d, catalog) for d in docs]
-        entries = {c.id: (c.alpha, {f.value for f in c.frames})
-                   for c in catalog.values()}
-        for frame_name, frame_key in [("visual", DeficiencyFrame.VISUAL),
-                                      ("global", GLOBAL)]:
-            expected_d, expected_level, expected_fused = pipeline_oracle(
-                docs, entries, frame_name)
-            got = score_page(reports, catalog, w)[frame_key]
-            assert abs(got.decision - expected_d) <= 1e-9
-            assert got.level.value == expected_level
-            assert abs(got.fused.empty - expected_fused[EMPTY]) <= 1e-9
+    def test_fixture_pair_matches_reference(self):
+        docs = [json.loads(generate_fixture(7, kind))
+                for kind in ("error-heavy", "potential-heavy")]
+        for got, want in frames_against_reference(docs, ENTRIES):
+            assert decides_like_reference(got, want)
+
+    def test_subset_catalog_counts_only_kept_tests(self):
+        # e_ac's denominator sums the tests of the observations the catalog
+        # keeps; counting each report's 6 skipped entries as well would give
+        # visual 0.520 and global 0.534, both "very bad"
+        docs = [json.loads(generate_fixture(3, kind))
+                for kind in ("error-heavy", "potential-heavy")]
+        frames = dict(zip(ref.FRAMES,
+                          frames_against_reference(docs, ENTRIES[:40])))
+        for name, decision in (("visual", "0.612"), ("global", "0.631")):
+            want = frames[name][1]
+            assert f"{want.decision:.3f}" == decision
+            assert ref.levels_near(want.decision, 0.0) == {"bad"}
+        for got, want in frames.values():
+            assert decides_like_reference(got, want)
+
+    @given(st.lists(REPORT_DOC, min_size=1, max_size=4),
+           st.sets(st.integers(0, len(ENTRIES) - 1), min_size=1),
+           st.lists(st.floats(0.0, 1.0, exclude_min=True),
+                    min_size=3, max_size=3))
+    @example(NEAR_CONFLICT, {0}, [1.0, 1.0, 1.0])
+    @example(contradicting_docs(0), {0}, [1.0, 1.0, 1.0])
+    def test_arbitrary_documents_match_reference(self, docs, kept, weights):
+        entries = [ENTRIES[i] for i in sorted(kept)]
+        level_weights = dict(zip(("a", "aa", "aaa"),
+                                 sorted(weights, reverse=True)))
+        for got, want in frames_against_reference(docs, entries,
+                                                  level_weights):
+            decides_like_reference(got, want)
+
+
+def test_reference_imports_nothing_from_the_package():
+    # the tests above check the engine against bench/reference.py, which
+    # must not check the package against itself; src/ is on the child's
+    # path, so an import of a11yfuse would succeed and show
+    code = ("import sys; sys.path[:0] = sys.argv[1:]; import reference; "
+            "print(reference.__file__); print(' '.join(m for m in "
+            "sys.modules if m.partition('.')[0] == 'a11yfuse'))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code,
+                           str(ROOT / "bench"), str(ROOT / "src")],
+                          capture_output=True, text=True, check=True)
+    path, loaded = proc.stdout.split("\n")[:2]
+    assert Path(path).resolve().parent == ROOT / "bench"
+    assert loaded == ""
 
 
 class TestFixturePages:

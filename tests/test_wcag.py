@@ -81,6 +81,7 @@ class TestCriteriaInFrame:
     def test_frame_names_resolve(self):
         assert resolve_frame("Visual") is DeficiencyFrame.VISUAL
         assert resolve_frame("global") == GLOBAL
+        assert resolve_frame("Global") == GLOBAL
         with pytest.raises(UnknownFrame):
             resolve_frame("auditory")
 
