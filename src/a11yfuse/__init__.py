@@ -17,7 +17,6 @@ from .engine import (
     SourceResult,
     discretize,
     masses_from_estimates,
-    score_frame,
     score_page,
 )
 from .errors import IndicatorError

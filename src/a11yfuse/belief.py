@@ -78,12 +78,12 @@ def discount(m: MassFunction, delta: float) -> MassFunction:
     [0, 1].
 
     The removed mass is transferred to the whole frame. Only conflict-free
-    masses may be discounted; discounting happens before fusion.
+    masses (an empty-set mass of exactly 0) may be discounted, before fusion.
     """
     if not 0.0 <= delta <= 1.0:
         raise OutOfRange(f"reliability {delta} outside [0, 1]")
     ac, nac, omega, empty = m
-    if empty > NEG_TOL:
+    if empty != 0.0:  # dropping even a rounding-sized one unbalances the sum
         raise ConflictPresent("cannot discount a mass carrying conflict")
     return _mass((delta * ac, delta * nac, 1.0 - delta * (1.0 - omega), 0.0))
 

@@ -15,7 +15,7 @@ from .engine import FrameDecision
 from .errors import IndicatorError
 from .reports import (FIXTURE_KINDS, AssessorReport, generate_fixture,
                       parse_report)
-from .wcag import FRAMES, GLOBAL, load_config, resolve_frame
+from .wcag import FRAMES, GLOBAL, WeightConfig, load_config, resolve_frame
 
 Decisions = Dict[object, FrameDecision]
 
@@ -104,11 +104,11 @@ def _read_report(path: str, catalog: Mapping,
         caught.clear()
 
 
-def _each_page(groups: List[List[str]], catalog: Mapping, score: Callable,
-               emit: Callable) -> bool:
-    """Read, parse and score one --page group at a time with
-    score(reports), and pass its URL and result to emit before the next
-    group is read, so memory holds one page. A group that fails writes
+def _each_page(groups: List[List[str]], catalog: Mapping, w: WeightConfig,
+               frames: tuple, emit: Callable) -> bool:
+    """Read, parse and score one --page group at a time in `frames`, and
+    pass its URL and decisions to emit before the next group is read, so
+    memory holds one page. A group that fails writes
     `error: <path>: <message>`, naming the failing report or, for an error
     while scoring, the group's first one; it emits nothing and the other
     groups go on. Returns whether every group scored."""
@@ -121,14 +121,14 @@ def _each_page(groups: List[List[str]], catalog: Mapping, score: Callable,
                 for path in group:
                     reports.append(_read_report(path, catalog, caught))
                 path = group[0]
-                result = score(reports)
+                decisions = engine.score_page(reports, catalog, w, frames)
             except (IndicatorError, OSError) as exc:
                 # an OSError's own text repeats the path
                 print(f"error: {path}: {getattr(exc, 'strerror', 0) or exc}",
                       file=sys.stderr)
                 ok = False
                 continue
-            emit(reports[0].url, result)
+            emit(reports[0].url, decisions)
     return ok
 
 
@@ -150,9 +150,7 @@ def cmd_score(args) -> int:
         conflicts.extend(f"{url} {_frame_key(k)}" for k in FRAMES
                          if decisions[k].level is None)
 
-    ok = _each_page(args.page, catalog,
-                    lambda reports: engine.score_page(reports, catalog, w),
-                    emit)
+    ok = _each_page(args.page, catalog, w, FRAMES, emit)
     if table:
         sys.stdout.write(_render_table(table))
     for where in conflicts:
@@ -163,10 +161,9 @@ def cmd_score(args) -> int:
 def cmd_explain(args) -> int:
     catalog, w = load_config(args.catalog, args.weights)
     frame = resolve_frame(args.frame)
-    ok = _each_page(
-        args.page, catalog,
-        lambda reports: engine.score_frame(reports, frame, catalog, w),
-        lambda url, d: sys.stdout.write(_render_explain(url, d, args.ascii)))
+    ok = _each_page(args.page, catalog, w, (frame,), lambda url, decisions:
+                    sys.stdout.write(_render_explain(url, decisions[frame],
+                                                     args.ascii)))
     return 0 if ok else 1
 
 

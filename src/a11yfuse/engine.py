@@ -162,11 +162,14 @@ def discretize(d: float, w: WeightConfig) -> AccessLevel:
     return AccessLevel.VERY_BAD
 
 
-def score_frame(reports: Iterable[AssessorReport], frame: FrameOrGlobal,
-                catalog: Mapping, w: WeightConfig) -> FrameDecision:
-    """Fuse all assessors' evidence for one frame and decide. A repeated
-    assessor name is made unique by appending #<index in the page>."""
-    frame = resolve_frame(frame)
+def score_page(reports: Iterable[AssessorReport], catalog: Mapping,
+               w: WeightConfig, frames: Iterable[FrameOrGlobal] = FRAMES
+               ) -> Dict[FrameOrGlobal, FrameDecision]:
+    """Fuse all assessors' evidence for each of `frames` and decide, keyed
+    in the order given, each name resolved as resolve_frame does. A
+    repeated assessor name is made unique by appending #<index in the
+    page>."""
+    frames = [resolve_frame(frame) for frame in frames]
     report_list = list(reports)
     if not report_list:
         raise EmptySourceSet("no reports to score")
@@ -174,31 +177,29 @@ def score_frame(reports: Iterable[AssessorReport], frame: FrameOrGlobal,
     if len(urls) > 1:
         raise MixedUrls(f"reports refer to different pages: {sorted(urls)}")
 
-    sources = []
+    named = []
     names = set()
     for idx, report in enumerate(report_list):
         name, _, _, _, delta = report.profile
         if name in names:
             name = f"{name}#{idx}"
         names.add(name)
-        parts = estimate_parts(report, frame, catalog)
-        m = masses_from_estimates(parts.triple())
-        sources.append(SourceResult(name, delta, parts, m,
-                                    belief.discount(m, delta)))
+        named.append((name, delta, report))
 
-    fused = belief.combine_all(s.discounted for s in sources)
-    try:
-        decision = belief.pignistic(fused)
-    except TotalConflict:
-        return FrameDecision(frame, tuple(sources), fused, None, None)
-    return FrameDecision(frame, tuple(sources), fused, decision,
-                         discretize(decision, w))
-
-
-def score_page(reports: Iterable[AssessorReport], catalog: Mapping,
-               w: WeightConfig) -> Dict[FrameOrGlobal, FrameDecision]:
-    """Decisions for the four deficiency frames plus the global view, keyed
-    in FRAMES order."""
-    report_list = list(reports)
-    return {frame: score_frame(report_list, frame, catalog, w)
-            for frame in FRAMES}
+    decisions = {}
+    for frame in frames:
+        sources = []
+        for name, delta, report in named:
+            parts = estimate_parts(report, frame, catalog)
+            m = masses_from_estimates(parts.triple())
+            sources.append(SourceResult(name, delta, parts, m,
+                                        belief.discount(m, delta)))
+        fused = belief.combine_all(s.discounted for s in sources)
+        try:
+            decision = belief.pignistic(fused)
+            level = discretize(decision, w)
+        except TotalConflict:
+            decision = level = None
+        decisions[frame] = FrameDecision(frame, tuple(sources), fused,
+                                         decision, level)
+    return decisions

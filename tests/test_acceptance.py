@@ -18,7 +18,7 @@ from a11yfuse.engine import (
     EstimationParts,
     discretize,
     masses_from_estimates,
-    score_frame,
+    score_page,
 )
 from a11yfuse.reports import parse_report
 from a11yfuse.wcag import DeficiencyFrame, WeightConfig, load_config
@@ -187,6 +187,7 @@ def test_criterion_6_fusion_strengthening():
 def test_criterion_7_error_monotonicity():
     catalog, w = load_config(
         [{"id": "c1", "level": "A", "frames": ["visual"]}])
+    visual = DeficiencyFrame.VISUAL
     t0 = time.perf_counter()
     decisions = []
     for n_err in range(5):
@@ -196,8 +197,8 @@ def test_criterion_7_error_monotonicity():
                                  "n_potential": 0, "t_err": 10,
                                  "t_likely": 4, "t_potential": 0}]}
         r = parse_report(doc)
-        decisions.append(score_frame([r], DeficiencyFrame.VISUAL,
-                                     catalog, w).decision)
+        decisions.append(score_page([r], catalog, w, (visual,))[visual]
+                         .decision)
     elapsed = time.perf_counter() - t0
     ok = all(a > b for a, b in zip(decisions, decisions[1:]))
     assert report("7: error monotonicity (5 levels)", ok, elapsed)

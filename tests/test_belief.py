@@ -92,6 +92,16 @@ class TestDiscount:
         with pytest.raises(ConflictPresent):
             discount(conflicted, 0.5)
 
+    @pytest.mark.parametrize("m", [
+        MassFunction(0.5, 0.5 + 1e-9 + 5e-13, 0.0, -6e-13),
+        MassFunction(0.5, 0.5 - 1e-9 - 1e-12, 0.0, 1e-12)])
+    def test_rejects_rounding_sized_conflict(self, m):
+        # each is inside MassFunction's tolerances only with its conflict
+        with pytest.raises(NotNormalized):
+            MassFunction(m.ac, m.nac, m.omega)
+        with pytest.raises(ConflictPresent):
+            discount(m, 1.0)
+
     def test_reliability_range(self):
         with pytest.raises(OutOfRange):
             discount(vacuous(), 1.2)

@@ -17,10 +17,10 @@ from a11yfuse.engine import (
     discretize,
     estimate_parts,
     masses_from_estimates,
-    score_frame,
     score_page,
 )
-from a11yfuse.errors import EmptySourceSet, MixedUrls, OutOfRange
+from a11yfuse.errors import (EmptySourceSet, MixedUrls, OutOfRange,
+                             UnknownFrame)
 from a11yfuse.reports import FIXTURE_KINDS, generate_fixture, parse_report
 from a11yfuse.wcag import (
     FRAMES,
@@ -33,6 +33,7 @@ from a11yfuse.wcag import (
 import reference as ref
 
 ROOT = Path(__file__).resolve().parents[1]
+VISUAL = DeficiencyFrame.VISUAL
 ENTRIES = json.loads((ROOT / "src" / "a11yfuse" / "data" /
                       "wcag20_criteria.json").read_text(encoding="utf-8"))
 
@@ -263,7 +264,7 @@ class TestScoreFrame:
     def test_single_source_decision(self):
         catalog, w = one_criterion_catalog()
         r = report_for(n_ok=8, n_err=2, n_likely=1, t_err=4, t_likely=2)
-        d = score_frame([r], DeficiencyFrame.VISUAL, catalog, w)
+        d = score_page([r], catalog, w, (VISUAL,))[VISUAL]
         assert math.isclose(d.decision, pignistic(d.fused), abs_tol=1e-15)
         assert d.level is discretize(d.decision, w)
         assert set(d.per_source) == {"tool-a"}
@@ -281,9 +282,9 @@ class TestScoreFrame:
         catalog, w = one_criterion_catalog()
         informative = report_for(n_ok=8, n_err=2, t_err=4, name="tool-a")
         silent = report_for(name="tool-b")  # no tests at all
-        alone = score_frame([informative], DeficiencyFrame.VISUAL, catalog, w)
-        both = score_frame([informative, silent],
-                           DeficiencyFrame.VISUAL, catalog, w)
+        alone = score_page([informative], catalog, w, (VISUAL,))[VISUAL]
+        both = score_page([informative, silent], catalog, w,
+                          (VISUAL,))[VISUAL]
         assert math.isclose(both.decision, alone.decision, abs_tol=1e-12)
         assert both.per_source["tool-b"] == vacuous()
 
@@ -292,7 +293,7 @@ class TestScoreFrame:
         reports = [parse_report(generate_fixture(11, kind), catalog)
                    for kind in ("balanced", "error-heavy", "potential-heavy")]
         decisions = [
-            score_frame(list(p), GLOBAL, catalog, w).decision
+            score_page(list(p), catalog, w, (GLOBAL,))[GLOBAL].decision
             for p in itertools.permutations(reports)]
         for d in decisions[1:]:
             assert abs(d - decisions[0]) <= 1e-12
@@ -300,28 +301,28 @@ class TestScoreFrame:
     def test_empty_sources(self):
         catalog, w = one_criterion_catalog()
         with pytest.raises(EmptySourceSet):
-            score_frame([], DeficiencyFrame.VISUAL, catalog, w)
+            score_page([], catalog, w, (VISUAL,))
 
     def test_mixed_urls(self):
         catalog, w = one_criterion_catalog()
         with pytest.raises(MixedUrls):
-            score_frame([report_for(n_ok=1, url="a"),
-                         report_for(n_ok=1, url="b", name="tool-b")],
-                        DeficiencyFrame.VISUAL, catalog, w)
+            score_page([report_for(n_ok=1, url="a"),
+                        report_for(n_ok=1, url="b", name="tool-b")],
+                       catalog, w, (VISUAL,))
 
     def test_discounted_source_commits_less(self):
         catalog, w = one_criterion_catalog()
         full = report_for(n_ok=8, n_err=2, t_err=4, delta=1.0)
         weak = report_for(n_ok=8, n_err=2, t_err=4, delta=0.5)
-        d_full = score_frame([full], DeficiencyFrame.VISUAL, catalog, w)
-        d_weak = score_frame([weak], DeficiencyFrame.VISUAL, catalog, w)
+        d_full = score_page([full], catalog, w, (VISUAL,))[VISUAL]
+        d_weak = score_page([weak], catalog, w, (VISUAL,))[VISUAL]
         assert d_weak.per_source["tool-a"].omega > d_full.per_source["tool-a"].omega
 
     def test_trace_matches_the_pipeline_steps(self):
         catalog, w = one_criterion_catalog()
         r = report_for(n_ok=8, n_err=2, n_likely=1, t_err=4, t_likely=2,
                        delta=0.8)
-        d = score_frame([r], DeficiencyFrame.VISUAL, catalog, w)
+        d = score_page([r], catalog, w, (VISUAL,))[VISUAL]
         (src,) = d.sources
         assert (src.name, src.delta) == ("tool-a", 0.8)
         assert src.parts == estimate_parts(r, DeficiencyFrame.VISUAL, catalog)
@@ -335,7 +336,7 @@ class TestScoreFrame:
         catalog, w = one_criterion_catalog()
         reports = [report_for(n_ok=8, n_err=2, t_err=4),
                    report_for(n_ok=1, n_err=3, t_err=4)]
-        d = score_frame(reports, DeficiencyFrame.VISUAL, catalog, w)
+        d = score_page(reports, catalog, w, (VISUAL,))[VISUAL]
         assert [s.name for s in d.sources] == ["tool-a", "tool-a#1"]
         assert list(d.per_source) == ["tool-a", "tool-a#1"]
 
@@ -343,8 +344,8 @@ class TestScoreFrame:
         catalog, w = one_criterion_catalog()
         certain_ok = report_for(n_ok=5, name="optimist")
         certain_bad = report_for(n_err=5, t_err=5, name="pessimist")
-        d = score_frame([certain_ok, certain_bad], DeficiencyFrame.VISUAL,
-                        catalog, w)
+        d = score_page([certain_ok, certain_bad], catalog, w,
+                       (VISUAL,))[VISUAL]
         assert d.fused.empty == 1.0
         assert (d.decision, d.level) == (None, None)
 
@@ -356,6 +357,41 @@ class TestScorePage:
         result = score_page([r], catalog, w)
         assert len(result) == 5
         assert GLOBAL in result
+
+    def test_chosen_frames_score_as_all_frames(self):
+        catalog, w = load_config()
+        for seed in range(50):
+            reports = [parse_report(generate_fixture(seed, kind), catalog)
+                       for kind in FIXTURE_KINDS]
+            page = score_page(reports, catalog, w)
+            for frame in FRAMES:
+                # named-tuple equality: every float of the trace is equal
+                assert score_page(reports, catalog, w,
+                                  (frame,))[frame] == page[frame]
+
+    def test_frame_names_resolve_in_the_order_given(self):
+        catalog, w = load_config()
+        r = parse_report(generate_fixture(1, "balanced"), catalog)
+        page = score_page([r], catalog, w,
+                          ("Global", "visual", DeficiencyFrame.MOTOR))
+        assert list(page) == [GLOBAL, VISUAL, DeficiencyFrame.MOTOR]
+        assert [d.frame for d in page.values()] == list(page)
+        full = score_page([r], catalog, w)
+        assert all(d == full[frame] for frame, d in page.items())
+
+    def test_page_checks_for_any_frames(self):
+        catalog, w = one_criterion_catalog()
+        mixed = [report_for(n_ok=1, url="a"),
+                 report_for(n_ok=1, url="b", name="tool-b")]
+        for frames in (FRAMES, ("hearing", GLOBAL)):
+            with pytest.raises(EmptySourceSet):
+                score_page([], catalog, w, frames)
+            with pytest.raises(MixedUrls):
+                score_page(mixed, catalog, w, frames)
+        # the frames are resolved before the reports are looked at
+        for reports in ([], mixed, [report_for(n_ok=1)]):
+            with pytest.raises(UnknownFrame):
+                score_page(reports, catalog, w, (VISUAL, "smell"))
 
     def test_untouched_frames_fall_back_to_ignorance(self):
         catalog, w = one_criterion_catalog()
@@ -444,8 +480,8 @@ class TestMonotonicity:
         decisions = []
         for n_err in range(5):
             r = report_for(n_ok=10, n_err=n_err, t_err=10)
-            decisions.append(score_frame([r], DeficiencyFrame.VISUAL,
-                                         catalog, w).decision)
+            decisions.append(
+                score_page([r], catalog, w, (VISUAL,))[VISUAL].decision)
         assert all(a > b for a, b in zip(decisions, decisions[1:]))
 
     @given(st.floats(0.01, 1.0), st.floats(0.0, 1.0),
