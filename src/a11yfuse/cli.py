@@ -6,7 +6,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional
 
@@ -93,15 +92,13 @@ def _render_explain(url: str, d: FrameDecision, ascii_mode: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _read_report(path: str, catalog: Mapping,
-                 caught: List[warnings.WarningMessage]) -> AssessorReport:
-    try:
-        with open(path, "rb") as f:
-            return parse_report(f.read(), catalog)
-    finally:  # a criterion missing from the catalog, one line each
-        for w in caught:
-            print(f"warning: {path}: {w.message}", file=sys.stderr)
-        caught.clear()
+def _read_report(path: str, catalog: Mapping) -> AssessorReport:
+    with open(path, "rb") as f:
+        report = parse_report(f.read(), catalog)
+    for cid in report.skipped:  # a criterion missing from the catalog
+        print(f"warning: {path}: skipping unknown criterion {cid}",
+              file=sys.stderr)
+    return report
 
 
 def _each_page(groups: List[List[str]], catalog: Mapping, w: WeightConfig,
@@ -113,22 +110,20 @@ def _each_page(groups: List[List[str]], catalog: Mapping, w: WeightConfig,
     while scoring, the group's first one; it emits nothing and the other
     groups go on. Returns whether every group scored."""
     ok = True
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        for group in groups:
-            try:
-                reports = []
-                for path in group:
-                    reports.append(_read_report(path, catalog, caught))
-                path = group[0]
-                decisions = engine.score_page(reports, catalog, w, frames)
-            except (IndicatorError, OSError) as exc:
-                # an OSError's own text repeats the path
-                print(f"error: {path}: {getattr(exc, 'strerror', 0) or exc}",
-                      file=sys.stderr)
-                ok = False
-                continue
-            emit(reports[0].url, decisions)
+    for group in groups:
+        try:
+            reports = []
+            for path in group:  # names the failing report in the error
+                reports.append(_read_report(path, catalog))
+            path = group[0]
+            decisions = engine.score_page(reports, catalog, w, frames)
+        except (IndicatorError, OSError) as exc:
+            # an OSError's own text repeats the path
+            print(f"error: {path}: {getattr(exc, 'strerror', 0) or exc}",
+                  file=sys.stderr)
+            ok = False
+            continue
+        emit(reports[0].url, decisions)
     return ok
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import json
 import random
-import warnings
 from collections import namedtuple
 from typing import Dict, Mapping, Optional
 
@@ -102,9 +101,11 @@ _REPORT_KEYS = frozenset(("assessor", "url", "observations", "total_tests"))
 
 
 class AssessorReport(namedtuple(
-        "AssessorReport", "profile url observations total_tests")):
+        "AssessorReport", "profile url observations total_tests skipped")):
     """One assessor's validated evaluation of one page. total_tests, the
-    tests run summed over all observations, is computed, not passed."""
+    tests run summed over all observations, is computed, not passed, and
+    so is skipped: the ids parse_report left out because the catalog lacks
+    them, in document order, and () for a report built here."""
 
     __slots__ = ()
 
@@ -117,7 +118,7 @@ class AssessorReport(namedtuple(
                 raise SchemaError(f"observation keyed {cid} carries "
                                   f"criterion id {obs.criterion_id}")
         return tuple.__new__(cls, (profile, url, observations, sum(
-            o.tests_run for o in observations.values())))
+            o.tests_run for o in observations.values()), ()))
 
 
 def parse_report(document,
@@ -126,12 +127,14 @@ def parse_report(document,
     parsed dict). Any top-level key beyond "assessor", "url",
     "observations" and "total_tests", any key beyond "name" and the four
     coefficients in the assessor block, or beyond "criterion" and the seven
-    counts in an observation, is a SchemaError.
+    counts in an observation, is a SchemaError. So is a url or assessor
+    name that does not encode as UTF-8: one holding a lone surrogate.
 
-    Criteria missing from the catalog are validated, then skipped with a
-    warning. A stored total_tests field must match the tests run summed
-    over every observation entry, skipped ones included (corruption guard),
-    or be absent; the report's total_tests sums the kept observations.
+    Criteria missing from the catalog are validated, then skipped: their
+    ids, in document order, are the report's skipped field. A stored
+    total_tests field must match the tests run summed over every
+    observation entry, skipped ones included (corruption guard), or be
+    absent; the report's total_tests sums the kept observations.
     """
     if isinstance(document, (str, bytes)):
         try:
@@ -161,9 +164,15 @@ def parse_report(document,
     if not _ASSESSOR_KEYS.issuperset(assessor):
         raise _unknown_keys("assessor block", assessor, _ASSESSOR_KEYS)
     profile = AssessorProfile(**assessor)
+    for label, text in (("url", url), ("assessor name", profile.name)):
+        try:  # a lone surrogate, which JSON's \u escapes can spell
+            text.encode("utf-8")
+        except UnicodeEncodeError:
+            raise SchemaError(f"{label} is not Unicode text: {text!r}") \
+                from None
 
     observations: Dict[str, CriterionObservation] = {}
-    skipped = set()
+    skipped = {}  # a dict keeps document order and finds ids in O(1)
     total = document_total = 0
     for entry in raw_obs:
         if not isinstance(entry, dict) or "criterion" not in entry:
@@ -187,8 +196,7 @@ def parse_report(document,
                                               (cid, *counts))
             total += tests_run
         else:
-            warnings.warn(f"skipping unknown criterion {cid}", stacklevel=2)
-            skipped.add(cid)
+            skipped[cid] = None
 
     if "total_tests" in document:
         # the document's total covers its skipped entries too
@@ -200,7 +208,8 @@ def parse_report(document,
             raise CountInconsistency(
                 f"stored total_tests={stored} does not match the "
                 f"recomputed sum {document_total}")
-    return tuple.__new__(AssessorReport, (profile, url, observations, total))
+    return tuple.__new__(AssessorReport, (profile, url, observations, total,
+                                          tuple(skipped)))
 
 
 # The canonical form is json.dumps(doc, indent=2, sort_keys=True) plus a

@@ -266,6 +266,28 @@ class TestPageByPage:
                               f"JSON: maximum recursion")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ("score",), ("score", "--format", "tsv", "--ascii"),
+        ("score", "--format", "json"), ("explain", "--frame", "visual")])
+    @pytest.mark.parametrize("name, url, error", [
+        ("t\udc80", "https://x.test/\ud800",
+         "url is not Unicode text: 'https://x.test/\\ud800'"),
+        ("t\udc80", "https://x.test/",
+         "assessor name is not Unicode text: 't\\udc80'")],
+        ids=["url", "name"])
+    def test_lone_surrogate_hides_no_good_page(self, capsys, tmp_path, argv,
+                                               name, url, error):
+        # writing such text to stdout raised UnicodeEncodeError: a
+        # traceback, and the later pages lost
+        good = write_pages(tmp_path, (3, 1))
+        bad = write_json(tmp_path / "surrogate.json", {
+            "assessor": {"name": name}, "url": url,
+            "observations": [{"criterion": "1.1.1", "n_ok": 3}]})
+        _, expected, _ = run(capsys, *argv, *page_args(good))
+        code, out, err = run(capsys, *argv, *page_args(
+            [good[0], [bad], good[1]]))
+        assert (code, out, err) == (1, expected, f"error: {bad}: {error}\n")
+
     @staticmethod
     def _peak(argv):
         """The least traced peak of three runs after a warm-up run. A
@@ -295,7 +317,8 @@ class TestPageByPage:
 
 class TestSubsetCatalog:
     """A catalog that lacks some of a report's criteria skips them with one
-    warning line each and scores the rest."""
+    warning line each and scores the rest; a report that fails prints only
+    its error line."""
 
     def test_skipped_entries_count_in_stored_total(self, capsys, tmp_path,
                                                    fixture_pair):
@@ -323,6 +346,23 @@ class TestSubsetCatalog:
         assert (code, err.splitlines()) == (0, warnings)
         assert (0, out, "") == run(capsys, "score", "--catalog", catalog,
                                    "--page", *stripped)
+
+    @pytest.mark.parametrize("argv", [("score",),
+                                      ("explain", "--frame", "global")])
+    def test_report_that_fails_prints_only_its_error(self, capsys, tmp_path,
+                                                     fixture_pair, argv):
+        # it scores nothing, so the criteria it skipped before failing are
+        # not reported
+        bad = write_json(tmp_path / "bad.json", {
+            "assessor": {"name": "t"}, "url": "u", "total_tests": 9,
+            "observations": [{"criterion": "9.9.9", "n_ok": 1},
+                             {"criterion": "8.8.8", "n_ok": 1}]})
+        _, expected, _ = run(capsys, *argv, "--page", *fixture_pair)
+        code, out, err = run(capsys, *argv, "--page", bad,
+                             "--page", *fixture_pair)
+        assert (code, out, err) == (1, expected, (
+            f"error: {bad}: stored total_tests=9 does not match the "
+            f"recomputed sum 2\n"))
 
 
 class TestTotalConflict:

@@ -3,7 +3,6 @@ import json
 import math
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import pytest
@@ -70,9 +69,7 @@ def frames_against_reference(docs, entries, weights=None):
     catalog, w = load_config({"criteria": entries, "weights": weights or {}})
     alpha = ({level: weights[level.lower()] for level in ref.ALPHA}
              if weights else ref.ALPHA)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # entries the catalog skips
-        reports = [parse_report(doc, catalog) for doc in docs]
+    reports = [parse_report(doc, catalog) for doc in docs]
     page = score_page(reports, catalog, w)
     ref_catalog = {e["id"]: (alpha[e["level"]], frozenset(e["frames"]))
                    for e in entries}

@@ -1,13 +1,16 @@
 """Rendered bytes pinned by hash: every score format and every explain frame
 over 53 two-assessor fixture pages, including the three seeds (148, 359,
 987) whose hearing frame once overshot 1.0, and the generated fixture
-reports of every kind for those seeds, and score --format json under each
-way of configuring the catalog and weights. A refactor that keeps output
-byte-identical keeps these hashes; a change that alters output on purpose
-records the new hashes and says why."""
+reports of every kind for those seeds, score --format json under each
+way of configuring the catalog and weights, and every rendering under a
+catalog of the first 40 packaged criteria, whose skipped-criterion warning
+lines are pinned too. A refactor that keeps output byte-identical keeps
+these hashes; a change that alters output on purpose records the new hashes
+and says why."""
 
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -106,6 +109,39 @@ CONFIG_GOLDEN = {
 }
 
 
+# sha256 of stdout and of stderr, and the exit code, per rendering under a
+# catalog of the first 40 packaged criteria. stderr holds one warning line
+# per skipped criterion, with the report directory cut from each path: the
+# 879 lines are the same for every rendering.
+SKIPPED = "3692ffd8ac3f51d56573af42a8639cb1245974f2f610cd282082e040344b8197"
+SUBSET_GOLDEN = {
+    "score-json": (
+        "a2be82d2a19ce6531aa52a264eed9585bbccf9610412aab536fc74d8cf0c8966",
+        SKIPPED, 0),
+    "score-table": (
+        "9214b039de5c47c7ded3bea8e373c31496ad8a46925be61215c9f15babd0e3ba",
+        SKIPPED, 0),
+    "score-tsv-ascii": (
+        "8087b93fce8ad3d7412f06394aa2de02f12507723c905dcc6e81c08cfa472688",
+        SKIPPED, 0),
+    "explain-visual": (
+        "fe7ba7c34ae19e286189b89c1dabec647b1b4e8fbf4ffcaf57b7ac9020cffdf6",
+        SKIPPED, 0),
+    "explain-hearing": (
+        "4b2b68d7413590834c51b0d843db0368014ded0bdfcc3423ecde9ef6b9ee8c85",
+        SKIPPED, 0),
+    "explain-motor": (
+        "e1cc47a299101fe300e6c2e61612cec43cfd36f2e7909793ac0c51a90798211d",
+        SKIPPED, 0),
+    "explain-cognitive": (
+        "b9fdcc21042fb567de8a1acffcca196c71bd8d7ad4093a69fb8b1d082061b073",
+        SKIPPED, 0),
+    "explain-global": (
+        "655602a265f190be3af230e1d6d075a28600ffa48c668a27ea12aab3e62c2e06",
+        SKIPPED, 0),
+}
+
+
 @pytest.fixture(scope="module")
 def page_args(tmp_path_factory):
     out = tmp_path_factory.mktemp("golden")
@@ -143,6 +179,21 @@ def test_config_paths_unchanged(config, page_args, tmp_path, capsys):
     got = (_sha(captured.out), _sha(captured.err), code)
     assert got == CONFIG_GOLDEN[config], \
         f"{config}: rendered output differs from the pinned bytes"
+
+
+@pytest.mark.parametrize("rendering", RENDERINGS)
+def test_subset_catalog_bytes_unchanged(rendering, page_args, tmp_path,
+                                        capsys):
+    catalog = tmp_path / "subset.json"
+    catalog.write_text(json.dumps(PACKAGED[:40]), encoding="utf-8")
+    code = main([*RENDERINGS[rendering], "--catalog", str(catalog),
+                 *page_args])
+    captured = capsys.readouterr()
+    report_dir = os.path.dirname(page_args[1]) + os.sep
+    got = (_sha(captured.out), _sha(captured.err.replace(report_dir, "")),
+           code)
+    assert got == SUBSET_GOLDEN[rendering], \
+        f"{rendering}: rendered output differs from the pinned bytes"
 
 
 @pytest.mark.parametrize("kind", FIXTURE_GOLDEN)

@@ -118,23 +118,51 @@ class TestParse:
                                               "integer, got"):
             parse_report(doc)
 
-    def test_criterion_missing_from_catalog_skipped_with_warning(self):
+    def test_criterion_missing_from_catalog_is_skipped(self):
         catalog, _ = load_config()
         doc = report_doc([obs("9.9.9", n_ok=5), obs("1.1.1", n_ok=2)])
-        with pytest.warns(UserWarning, match="9.9.9"):
-            r = parse_report(doc, catalog)
+        r = parse_report(doc, catalog)
         assert list(r.observations) == ["1.1.1"]
+        assert r.skipped == ("9.9.9",)
+
+    def test_skipped_ids_keep_document_order(self):
+        catalog, _ = load_config()
+        doc = report_doc([obs("9.9.9"), obs("1.1.1"), obs("8.8.8")])
+        r = parse_report(doc, catalog)
+        assert (list(r.observations), r.skipped) == (["1.1.1"],
+                                                     ("9.9.9", "8.8.8"))
+
+    def test_skipping_warns_nothing(self):
+        # the skipped ids are data; the CLI prints them, the library is quiet
+        catalog, _ = load_config({"criteria": [
+            {"id": "1.1.1", "level": "A", "frames": ["visual"]}]})
+        doc = report_doc([obs("1.4.3", n_ok=1), obs("1.1.1", n_ok=2)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert parse_report(doc, catalog).skipped == ("1.4.3",)
+
+    @pytest.mark.parametrize("label, name, url", [
+        ("url", "t", "https://x.test/\ud800"),
+        ("assessor name", "t\udc80", "https://x.test/"),
+        ("url", "t\udc80", "\ude00https://x.test/\ud83d")])
+    @pytest.mark.parametrize("document", [dict, json.dumps])
+    def test_lone_surrogate_is_a_schema_error(self, label, name, url,
+                                              document):
+        # JSON's \u escapes spell lone surrogates, which no output can encode
+        doc = report_doc([obs(n_ok=3)], name=name)
+        doc["url"] = url
+        with pytest.raises(SchemaError, match=f"^{label} is not Unicode "
+                                              f"text: "):
+            parse_report(document(doc))
 
     def test_stored_total_covers_skipped_criteria(self):
         # the kept criterion runs 2 tests, the skipped one 5
         catalog, _ = load_config()
         entries = [obs("9.9.9", n_ok=5), obs("1.1.1", n_ok=2)]
-        with pytest.warns(UserWarning, match="9.9.9"):
-            r = parse_report(report_doc(entries, total=7), catalog)
-        assert r.total_tests == 2
+        r = parse_report(report_doc(entries, total=7), catalog)
+        assert (r.total_tests, r.skipped) == (2, ("9.9.9",))
         for wrong in (2, 8):
-            with pytest.warns(UserWarning), \
-                    pytest.raises(CountInconsistency, match="sum 7"):
+            with pytest.raises(CountInconsistency, match="sum 7"):
                 parse_report(report_doc(entries, total=wrong), catalog)
 
     def test_skipped_criterion_counts_are_validated(self):
@@ -142,8 +170,7 @@ class TestParse:
         with pytest.raises(CountInconsistency, match="criterion 9.9.9"):
             parse_report(report_doc([obs("9.9.9", n_err=3, t_err=1)]),
                          catalog)
-        with pytest.raises(SchemaError, match="duplicate"), \
-                pytest.warns(UserWarning):
+        with pytest.raises(SchemaError, match="duplicate"):
             parse_report(report_doc([obs("9.9.9"), obs("9.9.9")]), catalog)
 
 
@@ -289,26 +316,32 @@ class TestOnePassMatchesConstructor:
                          CriterionObservation(cid, **counts))
         doc = report_doc([{"criterion": cid, **counts}
                           for cid, counts in entries])
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            got = self.outcome(lambda: parse_report(doc, self.CATALOG))
-            errors = [w for w in want if type(w) is tuple]
-            if errors:
-                assert got == errors[0]
-                return
-            kept = {o.criterion_id: o for o in want
-                    if o.criterion_id in self.CATALOG}
-            assert got.observations == kept
-            assert all(type(o) is CriterionObservation
-                       for o in got.observations.values())
-            assert got.total_tests == sum(o.tests_run for o in kept.values())
-            assert got == AssessorReport(got.profile, got.url, kept)
-            # the stored total covers the skipped entries too
-            doc["total_tests"] = sum(o.tests_run for o in want)
-            assert parse_report(doc, self.CATALOG) == got
+        got = self.outcome(lambda: parse_report(doc, self.CATALOG))
+        errors = [w for w in want if type(w) is tuple]
+        if errors:
+            assert got == errors[0]
+            return
+        kept = {o.criterion_id: o for o in want
+                if o.criterion_id in self.CATALOG}
+        assert got.observations == kept
+        assert all(type(o) is CriterionObservation
+                   for o in got.observations.values())
+        assert got.total_tests == sum(o.tests_run for o in kept.values())
+        assert got[:4] == AssessorReport(got.profile, got.url, kept)[:4]
+        assert got.skipped == tuple(cid for cid, _ in entries
+                                    if cid not in self.CATALOG)
+        # the stored total covers the skipped entries too
+        doc["total_tests"] = sum(o.tests_run for o in want)
+        assert parse_report(doc, self.CATALOG) == got
 
 
 class TestTotalTests:
+    def test_constructed_report_skips_nothing(self):
+        r = AssessorReport(AssessorProfile("t"), "u",
+                           {"1.1.1": CriterionObservation("1.1.1", n_ok=1)})
+        assert r.skipped == ()
+        assert "skipped" not in json.loads(serialize_report(r))
+
     def test_empty(self):
         r = AssessorReport(AssessorProfile("t"), "u", {})
         assert r.total_tests == 0
@@ -323,6 +356,7 @@ def canonical_json(report):
     """The canonical form's definition, which serialize_report must match
     byte for byte."""
     doc = report._asdict()
+    del doc["skipped"]
     doc["assessor"] = doc.pop("profile")._asdict()
     doc["observations"] = [
         {"criterion" if k == "criterion_id" else k: v
@@ -367,6 +401,8 @@ class TestRoundTrip:
     @example(AssessorReport(AssessorProfile("t"), "u"))
     @example(AssessorReport(AssessorProfile('\u2028"\\\n\xe9', 0, 1, 5e-324,
                                             0.1 + 0.2), "https://\u00e9/"))
+    @example(AssessorReport(AssessorProfile("\x00\u2029"),
+                            "https://x.test/\U0001f600\t\n"))
     def test_serialize_matches_json_dumps(self, report):
         text = serialize_report(report)
         assert text == canonical_json(report)
@@ -396,11 +432,10 @@ class TestFixtures:
     def test_generated_reports_validate(self, kind):
         # fixtures draw only catalog criteria, so none is skipped
         catalog, _ = load_config()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for seed in range(5):
-                r = parse_report(generate_fixture(seed, kind), catalog)
-                assert r.total_tests > 0
+        for seed in range(5):
+            r = parse_report(generate_fixture(seed, kind), catalog)
+            assert r.total_tests > 0
+            assert r.skipped == ()
 
     def test_same_seed_shares_url_across_kinds(self):
         a = json.loads(generate_fixture(7, "error-heavy"))
