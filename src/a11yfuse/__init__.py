@@ -12,7 +12,6 @@ from .belief import (
 )
 from .engine import (
     AccessLevel,
-    EstimationTriple,
     FrameDecision,
     SourceResult,
     discretize,

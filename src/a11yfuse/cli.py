@@ -38,8 +38,28 @@ def _cell(d: FrameDecision, ascii_mode: bool) -> str:
     return f"{d.decision:.3f} {_glyph(d, ascii_mode)}"
 
 
+def _escape(c: str) -> str:
+    n = ord(c)
+    if c == "\\":
+        return "\\\\"
+    if n < 0x100:
+        return f"\\x{n:02x}"
+    return f"\\u{n:04x}" if n < 0x10000 else f"\\U{n:08x}"
+
+
+def _shown(text: str) -> str:
+    """Report text as text output writes it: unchanged if printable and
+    free of backslashes, else with each backslash doubled and each
+    non-printable character written as a \\xNN, \\uNNNN or \\UNNNNNNNN
+    escape, so that no tab, newline or terminal control reaches a row."""
+    if "\\" not in text and text.isprintable():
+        return text
+    return "".join(c if c.isprintable() and c != "\\" else _escape(c)
+                   for c in text)
+
+
 def _text_row(url: str, decisions: Decisions, ascii_mode: bool) -> tuple:
-    return (url, *(_cell(decisions[k], ascii_mode) for k in FRAMES))
+    return (_shown(url), *(_cell(decisions[k], ascii_mode) for k in FRAMES))
 
 
 def _render_table(table: List[tuple]) -> str:
@@ -68,15 +88,16 @@ def _render_json(url: str, decisions: Decisions, ascii_mode: bool) -> str:
 
 
 def _render_explain(url: str, d: FrameDecision, ascii_mode: bool) -> str:
-    lines = [f"page {url}  [frame: {_frame_key(d.frame)}]"]
+    lines = [f"page {_shown(url)}  [frame: {_frame_key(d.frame)}]"]
     for s in d.sources:
-        p, e, m, md = s.parts, s.parts.triple(), s.mass, s.discounted
+        p, m, md = s.parts, s.mass, s.discounted
+        e_ac, e_nac, e_omega = p.triple()
         lines += [
-            f"  assessor {s.name} (delta={s.delta})",
+            f"  assessor {_shown(s.name)} (delta={s.delta})",
             f"    estimates: accessible {p.num_ac:.4f}/{p.den_ac:.0f} = "
-            f"{e.e_ac:.4f}, not-accessible {p.num_nac:.4f}/{p.den_nac:.0f} = "
-            f"{e.e_nac:.4f}, uncertain {p.num_omega:.4f}/{p.den_omega:.0f} = "
-            f"{e.e_omega:.4f}",
+            f"{e_ac:.4f}, not-accessible {p.num_nac:.4f}/{p.den_nac:.0f} = "
+            f"{e_nac:.4f}, uncertain {p.num_omega:.4f}/{p.den_omega:.0f} = "
+            f"{e_omega:.4f}",
             f"    masses:     ac={m.ac:.4f} nac={m.nac:.4f} "
             f"omega={m.omega:.4f}",
             f"    discounted: ac={md.ac:.4f} nac={md.nac:.4f} "
@@ -142,7 +163,7 @@ def cmd_score(args) -> int:
             sys.stdout.write(tsv_header + "\t".join(
                 _text_row(url, decisions, args.ascii)) + "\n")
             tsv_header = ""
-        conflicts.extend(f"{url} {_frame_key(k)}" for k in FRAMES
+        conflicts.extend(f"{_shown(url)} {_frame_key(k)}" for k in FRAMES
                          if decisions[k].level is None)
 
     ok = _each_page(args.page, catalog, w, FRAMES, emit)

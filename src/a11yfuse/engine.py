@@ -15,7 +15,8 @@ from typing import Dict, Iterable, Mapping
 
 from . import belief
 from .belief import MassFunction
-from .errors import EmptySourceSet, MixedUrls, OutOfRange, TotalConflict
+from .errors import (EmptySourceSet, MixedUrls, OutOfRange, SchemaError,
+                     TotalConflict)
 from .reports import AssessorReport
 from .wcag import (
     FRAMES,
@@ -26,27 +27,18 @@ from .wcag import (
 )
 
 
-class EstimationTriple(namedtuple("EstimationTriple", "e_ac e_nac e_omega")):
-    """Raw (unnormalized) evidence estimates for one assessor and frame."""
-
-    __slots__ = ()
-
-    @property
-    def total(self) -> float:
-        return self.e_ac + self.e_nac + self.e_omega
-
-
 class EstimationParts(namedtuple(
         "EstimationParts",
         "num_ac den_ac num_nac den_nac num_omega den_omega")):
-    """Numerators and denominators behind an EstimationTriple, kept for
-    explain-style traces."""
+    """Numerators and denominators of one assessor's evidence estimates
+    for one frame, kept for explain-style traces."""
 
     __slots__ = ()
 
-    def triple(self) -> EstimationTriple:
+    def triple(self) -> tuple:
+        """The raw (unnormalized) estimates (e_ac, e_nac, e_omega)."""
         num_ac, den_ac, num_nac, den_nac, num_omega, den_omega = self
-        return EstimationTriple(
+        return (
             num_ac / den_ac if den_ac > 0 else 0.0,
             num_nac / den_nac if den_nac > 0 else 0.0,
             num_omega / den_omega if den_omega > 0 else 0.0)
@@ -108,6 +100,10 @@ def estimate_parts(report: AssessorReport, frame: FrameOrGlobal,
     (report.total_tests); errors and uncertain problems are
     normalized by the frame-restricted test totals. Only the report's
     observations whose ids criteria_in_frame returns contribute.
+
+    The report must hold only ids the catalog has, as parse_report with
+    this catalog leaves it: total_tests counts every observation, so one
+    the catalog lacks would still weigh on e_ac.
     """
     frame_ids = criteria_in_frame(catalog, frame)
     _, beta_err, beta_likely, beta_potential, _ = report.profile
@@ -131,16 +127,17 @@ def estimate_parts(report: AssessorReport, frame: FrameOrGlobal,
                            float(den_nac), num_omega, float(den_omega))
 
 
-def masses_from_estimates(e: EstimationTriple) -> MassFunction:
-    """Normalize the estimate triple into a mass function.
+def masses_from_estimates(e: tuple) -> MassFunction:
+    """Normalize the estimates (e_ac, e_nac, e_omega) into a mass function.
 
     With no evidence at all (all three estimates zero) the source commits
     to nothing: the result is vacuous.
     """
-    s = e.total
+    e_ac, e_nac, e_omega = e
+    s = e_ac + e_nac + e_omega
     if s <= 0.0:
         return belief.vacuous()
-    return belief.make_mass(e.e_ac / s, e.e_nac / s, e.e_omega / s)
+    return belief.make_mass(e_ac / s, e_nac / s, e_omega / s)
 
 
 def discretize(d: float, w: WeightConfig) -> AccessLevel:
@@ -168,7 +165,8 @@ def score_page(reports: Iterable[AssessorReport], catalog: Mapping,
     """Fuse all assessors' evidence for each of `frames` and decide, keyed
     in the order given, each name resolved as resolve_frame does. A
     repeated assessor name is made unique by appending #<index in the
-    page>."""
+    page>. A report holding a criterion the catalog lacks is a SchemaError:
+    parse each report with the catalog it is scored under."""
     frames = [resolve_frame(frame) for frame in frames]
     report_list = list(reports)
     if not report_list:
@@ -176,6 +174,13 @@ def score_page(reports: Iterable[AssessorReport], catalog: Mapping,
     urls = {r.url for r in report_list}
     if len(urls) > 1:
         raise MixedUrls(f"reports refer to different pages: {sorted(urls)}")
+    for report in report_list:
+        if not report.observations.keys() <= catalog.keys():
+            cid = next(c for c in report.observations if c not in catalog)
+            raise SchemaError(
+                f"report of {report.url!r} by {report.profile.name!r} holds "
+                f"criterion {cid!r}, which the catalog lacks; parse the report "
+                f"with this catalog")
 
     named = []
     names = set()

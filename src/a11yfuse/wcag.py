@@ -145,7 +145,11 @@ def _build_catalog(entries: Iterable[dict], w: WeightConfig) -> Mapping:
             if not isinstance(cid, str):
                 raise SchemaError(f"catalog id must be a string, got {cid!r}")
             level = ConformanceLevel(entry["level"])
-            frames = frozenset(DeficiencyFrame(f) for f in entry["frames"])
+            frames = entry["frames"]
+            if not isinstance(frames, (list, tuple)):
+                raise SchemaError(f"criterion {cid}: frames must be an "
+                                  f"array, got {frames!r}")
+            frames = frozenset(DeficiencyFrame(f) for f in frames)
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad catalog entry {entry!r}: {exc}") from exc
         if not _CRITERION_KEYS.issuperset(entry):

@@ -140,12 +140,13 @@ def test_criterion_5_worked_micro_pipeline():
     elapsed = time.perf_counter() - t0
 
     (oe, om, od) = oracle()
+    e_ac, e_nac, e_omega = e
     ok = (all(abs(x - y) <= 1e-3 for x, y in
-              zip((e.e_ac, e.e_nac, e.e_omega), oe))
+              zip((e_ac, e_nac, e_omega), oe))
           and all(abs(x - y) <= 1e-3 for x, y in zip((m.ac, m.nac, m.omega), om))
           and abs(d - od) <= 1e-3
-          and abs(e.e_ac - 0.8) <= 1e-3 and abs(e.e_nac - 0.5) <= 1e-3
-          and abs(e.e_omega - 0.25) <= 1e-3
+          and abs(e_ac - 0.8) <= 1e-3 and abs(e_nac - 0.5) <= 1e-3
+          and abs(e_omega - 0.25) <= 1e-3
           and abs(m.ac - 0.5161) <= 1e-3 and abs(m.nac - 0.3226) <= 1e-3
           and abs(m.omega - 0.1613) <= 1e-3
           and abs(d - 0.5968) <= 1e-3

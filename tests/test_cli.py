@@ -467,6 +467,15 @@ class TestConfigErrors:
         assert (code, out, err) == \
             (1, "", f"error: catalog id must be a string, got {cid!r}\n")
 
+    def test_catalog_frames_must_be_an_array_exit_1(self, capsys, tmp_path,
+                                                    fixture_pair):
+        catalog = write_json(tmp_path / "catalog.json",
+                             [{**ONE_CRITERION, "frames": "visual"}])
+        code, out, err = run(capsys, "score", "--catalog", catalog,
+                             "--page", *fixture_pair)
+        assert (code, out, err) == (1, "", "error: criterion 1.1.1: frames "
+                                           "must be an array, got 'visual'\n")
+
     @pytest.mark.parametrize("name, cid, message", [
         (None, "1.1.1", "assessor name must be non-empty"),
         (["tool"], "1.1.1", "assessor name must be a string, got ['tool']"),
@@ -545,6 +554,87 @@ class TestConfigErrors:
         assert err.startswith(f"error: {what} is not valid UTF-8 JSON: "
                               f"maximum recursion")
         assert len(err.splitlines()) == 1
+
+
+# a character that must not reach text output as itself, and its escape
+AWKWARD = [("\t", "\\x09"), ("\n", "\\x0a"), ("\x1b", "\\x1b"),
+           ("\u2028", "\\u2028"), ("\u202e", "\\u202e"), ("\\", "\\\\")]
+
+
+class TestTextEscaping:
+    """Table, tsv and explain output escape a report's url and assessor
+    names, so each page keeps one row and no terminal control is written;
+    JSON output keeps the text as it is."""
+
+    @staticmethod
+    def awkward_page(directory, char):
+        """The seed-3 fixture pair, with `char` in its url and names."""
+        paths = []
+        for kind in ("error-heavy", "potential-heavy"):
+            doc = json.loads(generate_fixture(3, kind))
+            doc["url"] = f"https://x.test/a{char}b"
+            doc["assessor"]["name"] = f"{kind}{char}tool"
+            paths.append(write_json(directory / f"{kind}-{ord(char)}.json",
+                                    doc))
+        return paths
+
+    @pytest.fixture
+    def pages(self, tmp_path):
+        return [self.awkward_page(tmp_path, char) for char, _ in AWKWARD]
+
+    @pytest.mark.parametrize("argv", [("score", "--format", "tsv"),
+                                      ("score",), ("score", "--ascii")])
+    def test_one_row_per_page(self, capsys, pages, argv):
+        code, out, err = run(capsys, *argv, *page_args(pages))
+        assert (code, err) == (0, "")
+        rows = out.splitlines()[1:]  # splitlines also breaks at U+2028
+        assert len(rows) == len(AWKWARD)
+        sep = "\t" if "tsv" in argv else None
+        for row, (_, escaped) in zip(rows, AWKWARD):
+            fields = row.split(sep)
+            assert fields[0] == f"https://x.test/a{escaped}b"
+            assert len(fields) == (6 if sep else 11)
+
+    @pytest.mark.parametrize("char, escaped", AWKWARD)
+    def test_explain_escapes_url_and_names(self, capsys, tmp_path, char,
+                                           escaped):
+        page = self.awkward_page(tmp_path, char)
+        code, out, _ = run(capsys, "explain", "--frame", "visual",
+                           "--page", *page)
+        lines = out.splitlines()
+        assert code == 0 and len(lines) == 11
+        assert lines[0] == f"page https://x.test/a{escaped}b  [frame: visual]"
+        assert [line.split()[1] for line in lines
+                if line.startswith("  assessor ")] == \
+            [f"error-heavy{escaped}tool", f"potential-heavy{escaped}tool"]
+
+    @pytest.mark.parametrize("char, escaped", AWKWARD)
+    def test_conflict_line_escapes_url(self, capsys, tmp_path, conflict_pair,
+                                       char, escaped):
+        for path in conflict_pair:
+            doc = json.loads(Path(path).read_text(encoding="utf-8"))
+            doc["url"] = f"a{char}b"
+            write_json(Path(path), doc)
+        code, _, err = run(capsys, "score", "--page", *conflict_pair)
+        assert code == 1
+        assert err.splitlines() == [
+            f"error: total conflict: a{escaped}b {frame}"
+            for frame in ("visual", "cognitive", "global")]
+
+    def test_json_keeps_the_text(self, capsys, pages):
+        code, out, _ = run(capsys, "score", "--format", "json",
+                           *page_args(pages))
+        docs = [json.loads(line) for line in out.split("\n")[:-1]]
+        assert code == 0 and len(docs) == len(AWKWARD)
+        for doc, (char, _) in zip(docs, AWKWARD):
+            assert doc["url"] == f"https://x.test/a{char}b"
+            assert list(doc["frames"]["visual"]["per_source"]) == \
+                [f"error-heavy{char}tool", f"potential-heavy{char}tool"]
+
+    def test_printable_text_is_unchanged(self, capsys, tmp_path):
+        page = self.awkward_page(tmp_path, "\u00e9")
+        _, out, _ = run(capsys, "score", "--format", "tsv", "--page", *page)
+        assert out.splitlines()[1].startswith("https://x.test/a\u00e9b\t")
 
 
 class TestExplain:

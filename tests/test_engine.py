@@ -12,14 +12,13 @@ from a11yfuse.belief import MassFunction, make_mass, pignistic, vacuous
 from a11yfuse.engine import (
     AccessLevel,
     EstimationParts,
-    EstimationTriple,
     discretize,
     estimate_parts,
     masses_from_estimates,
     score_page,
 )
 from a11yfuse.errors import (EmptySourceSet, MixedUrls, OutOfRange,
-                             UnknownFrame)
+                             SchemaError, UnknownFrame)
 from a11yfuse.reports import FIXTURE_KINDS, generate_fixture, parse_report
 from a11yfuse.wcag import (
     FRAMES,
@@ -166,24 +165,26 @@ class TestEstimate:
         catalog, w = one_criterion_catalog()
         r = report_for(n_ok=8, n_err=2, n_likely=1,
                        t_err=4, t_likely=2)
-        e = estimate_parts(r, DeficiencyFrame.VISUAL, catalog).triple()
+        e_ac, e_nac, e_omega = estimate_parts(
+            r, DeficiencyFrame.VISUAL, catalog).triple()
         # total tests = 8 + 2 + 1 = 11
-        assert math.isclose(e.e_ac, 8 / 11, abs_tol=1e-12)
-        assert math.isclose(e.e_nac, 2 / 4, abs_tol=1e-12)
-        assert math.isclose(e.e_omega, 1 * 0.5 / 2, abs_tol=1e-12)
+        assert math.isclose(e_ac, 8 / 11, abs_tol=1e-12)
+        assert math.isclose(e_nac, 2 / 4, abs_tol=1e-12)
+        assert math.isclose(e_omega, 1 * 0.5 / 2, abs_tol=1e-12)
 
     def test_zero_denominators_contribute_zero(self):
         catalog, w = one_criterion_catalog()
         r = report_for(n_ok=5)
-        e = estimate_parts(r, DeficiencyFrame.VISUAL, catalog).triple()
-        assert (e.e_nac, e.e_omega) == (0.0, 0.0)
-        assert e.e_ac == 1.0
+        e_ac, e_nac, e_omega = estimate_parts(
+            r, DeficiencyFrame.VISUAL, catalog).triple()
+        assert (e_nac, e_omega) == (0.0, 0.0)
+        assert e_ac == 1.0
 
     def test_frame_without_criteria_is_all_zero(self):
         catalog, w = one_criterion_catalog()
         r = report_for(n_ok=5, n_err=1, t_err=2)
         e = estimate_parts(r, DeficiencyFrame.HEARING, catalog).triple()
-        assert e.total == 0.0
+        assert e == (0.0, 0.0, 0.0)
 
     def test_correct_count_normalized_by_all_frames(self):
         # c2 sits outside the visual frame but inflates the test total
@@ -205,22 +206,23 @@ class TestEstimate:
             ],
         }
         r = parse_report(doc)
-        e = estimate_parts(r, DeficiencyFrame.VISUAL, catalog).triple()
-        assert math.isclose(e.e_ac, 4 / 10, abs_tol=1e-12)
+        e_ac, _, _ = estimate_parts(
+            r, DeficiencyFrame.VISUAL, catalog).triple()
+        assert math.isclose(e_ac, 4 / 10, abs_tol=1e-12)
 
 
 class TestMassesFromEstimates:
     def test_worked_normalization(self):
-        m = masses_from_estimates(EstimationTriple(0.8, 0.5, 0.25))
+        m = masses_from_estimates((0.8, 0.5, 0.25))
         assert math.isclose(m.ac, 0.8 / 1.55, abs_tol=1e-9)
         assert math.isclose(m.nac, 0.5 / 1.55, abs_tol=1e-9)
         assert math.isclose(m.omega, 0.25 / 1.55, abs_tol=1e-9)
 
     def test_no_evidence_is_vacuous(self):
-        assert masses_from_estimates(EstimationTriple(0, 0, 0)) == vacuous()
+        assert masses_from_estimates((0, 0, 0)) == vacuous()
 
     def test_already_normalized(self):
-        m = masses_from_estimates(EstimationTriple(1, 0, 0))
+        m = masses_from_estimates((1, 0, 0))
         assert m == MassFunction(1, 0, 0, 0)
 
 
@@ -306,6 +308,24 @@ class TestScoreFrame:
             score_page([report_for(n_ok=1, url="a"),
                         report_for(n_ok=1, url="b", name="tool-b")],
                        catalog, w, (VISUAL,))
+
+    def test_report_parsed_without_the_catalog(self):
+        # e_ac's denominator counted the entries the catalog lacks: visual
+        # 0.520 "very bad", where parsing with the catalog gives 0.612 "bad"
+        catalog, w = load_config(ENTRIES[:40])
+        docs = [json.loads(generate_fixture(3, kind))
+                for kind in ("error-heavy", "potential-heavy")]
+        kept = [parse_report(doc, catalog) for doc in docs]
+        assert f"{score_page(kept, catalog, w)[VISUAL].decision:.3f}" == \
+            "0.612"
+        unknown = next(o["criterion"] for o in docs[1]["observations"]
+                       if o["criterion"] not in catalog)
+        with pytest.raises(SchemaError) as raised:
+            score_page([kept[0], parse_report(docs[1])], catalog, w)
+        assert str(raised.value) == (
+            f"report of 'https://example.test/page-3' by "
+            f"'potential-heavy-assessor' holds criterion {unknown!r}, which "
+            f"the catalog lacks; parse the report with this catalog")
 
     def test_discounted_source_commits_less(self):
         catalog, w = one_criterion_catalog()
@@ -488,10 +508,8 @@ class TestMonotonicity:
         e_lo, e_hi = sorted((lo, hi))
         if e_hi - e_lo < 1e-9:
             return
-        d_lo = pignistic(masses_from_estimates(
-            EstimationTriple(e_ac, e_lo, e_om)))
-        d_hi = pignistic(masses_from_estimates(
-            EstimationTriple(e_ac, e_hi, e_om)))
+        d_lo = pignistic(masses_from_estimates((e_ac, e_lo, e_om)))
+        d_hi = pignistic(masses_from_estimates((e_ac, e_hi, e_om)))
         assert d_hi < d_lo
 
     @given(st.floats(0.0, 1.0), st.floats(0.01, 1.0),
@@ -501,10 +519,8 @@ class TestMonotonicity:
         e_lo, e_hi = sorted((lo, hi))
         if e_hi - e_lo < 1e-9:
             return
-        d_lo = pignistic(masses_from_estimates(
-            EstimationTriple(e_lo, e_nac, e_om)))
-        d_hi = pignistic(masses_from_estimates(
-            EstimationTriple(e_hi, e_nac, e_om)))
+        d_lo = pignistic(masses_from_estimates((e_lo, e_nac, e_om)))
+        d_hi = pignistic(masses_from_estimates((e_hi, e_nac, e_om)))
         assert d_hi > d_lo
 
 

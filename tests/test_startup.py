@@ -15,7 +15,6 @@ import pytest
 from a11yfuse.belief import MassFunction, discount, make_mass, vacuous
 from a11yfuse.engine import (
     EstimationParts,
-    EstimationTriple,
     FrameDecision,
     SourceResult,
 )
@@ -71,7 +70,6 @@ INSTANCES = [
     AssessorProfile("tool"),
     _obs(),
     AssessorReport(AssessorProfile("tool"), "u", {"1.1.1": _obs()}),
-    EstimationTriple(0.1, 0.2, 0.3),
     EstimationParts(1.0, 2.0, 1.0, 2.0, 1.0, 2.0),
     SourceResult("tool", 1.0, EstimationParts(0, 1, 0, 1, 0, 1),
                  MassFunction(0, 0, 1), MassFunction(0, 0, 1)),
@@ -111,7 +109,6 @@ INVALID = [
      CountInconsistency),
     (lambda: AssessorReport(AssessorProfile("tool"), "u", {"1.1.2": _obs()}),
      SchemaError),
-    (lambda: EstimationTriple(0.1, 0.2), TypeError),
     (lambda: EstimationParts(1.0, 2.0, 1.0, 2.0, 1.0, 2.0, 3.0), TypeError),
     (lambda: SourceResult("tool", 1.0), TypeError),
     (lambda: FrameDecision(DeficiencyFrame.VISUAL, level=None), TypeError),

@@ -220,6 +220,21 @@ class TestLoading:
         with pytest.raises(SchemaError):
             load_config({"criteria": [], "thresholds": [0.9, 0.8, 0.7, 0.6]})
 
+    @pytest.mark.parametrize("frames", [
+        {"visual": True, "motor": False}, "visual", None, 7])
+    def test_frames_must_be_an_array(self, frames):
+        # an object once loaded as its keys, so 1.1.1 sat in the motor
+        # frame, and a string failed on its first letter
+        with pytest.raises(SchemaError, match=(
+                "^criterion 1.1.1: frames must be an array, got ")):
+            load_config([{"id": "1.1.1", "level": "A", "frames": frames}])
+
+    def test_frames_as_a_tuple_in_a_parsed_document(self):
+        catalog = load_config([{"id": "1.1.1", "level": "A",
+                                "frames": ("visual", "motor")}])[0]
+        assert catalog["1.1.1"].frames == {DeficiencyFrame.VISUAL,
+                                           DeficiencyFrame.MOTOR}
+
     def test_not_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{nope")
