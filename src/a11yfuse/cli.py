@@ -14,16 +14,11 @@ from .engine import FrameDecision
 from .errors import IndicatorError
 from .reports import (FIXTURE_KINDS, AssessorReport, generate_fixture,
                       parse_report)
-from .wcag import FRAMES, GLOBAL, WeightConfig, load_config, resolve_frame
+from .wcag import (FRAMES, DeficiencyFrame, WeightConfig, load_config,
+                   resolve_frame)
 
-Decisions = Dict[object, FrameDecision]
-
-
-def _frame_key(frame) -> str:
-    return frame.value if frame != GLOBAL else GLOBAL
-
-
-_HEADER = ("URL", *(_frame_key(f).capitalize() for f in FRAMES))
+Decisions = Dict[DeficiencyFrame, FrameDecision]
+_HEADER = ("URL", *(f.value.capitalize() for f in FRAMES))
 
 
 def _glyph(d: FrameDecision, ascii_mode: bool) -> Optional[str]:
@@ -58,6 +53,16 @@ def _shown(text: str) -> str:
                    for c in text)
 
 
+def _message(exc) -> str:
+    """An error's text for one stderr line: each non-printable character
+    escaped as _shown escapes it, but each backslash kept, since the
+    messages quote values through repr(), whose escapes hold them."""
+    text = str(exc)
+    if text.isprintable():
+        return text
+    return "".join(c if c.isprintable() else _escape(c) for c in text)
+
+
 def _text_row(url: str, decisions: Decisions, ascii_mode: bool) -> tuple:
     return (_shown(url), *(_cell(decisions[k], ascii_mode) for k in FRAMES))
 
@@ -76,7 +81,7 @@ def _render_json(url: str, decisions: Decisions, ascii_mode: bool) -> str:
     frames = {}
     for key in FRAMES:
         d = decisions[key]
-        frames[_frame_key(key)] = {
+        frames[key.value] = {
             "decision": None if d.level is None else round(d.decision, 3),
             "level": None if d.level is None else d.level.value,
             "glyph": _glyph(d, ascii_mode),
@@ -88,7 +93,7 @@ def _render_json(url: str, decisions: Decisions, ascii_mode: bool) -> str:
 
 
 def _render_explain(url: str, d: FrameDecision, ascii_mode: bool) -> str:
-    lines = [f"page {_shown(url)}  [frame: {_frame_key(d.frame)}]"]
+    lines = [f"page {_shown(url)}  [frame: {d.frame.value}]"]
     for s in d.sources:
         p, m, md = s.parts, s.mass, s.discounted
         e_ac, e_nac, e_omega = p.triple()
@@ -117,8 +122,8 @@ def _read_report(path: str, catalog: Mapping) -> AssessorReport:
     with open(path, "rb") as f:
         report = parse_report(f.read(), catalog)
     for cid in report.skipped:  # a criterion missing from the catalog
-        print(f"warning: {path}: skipping unknown criterion {cid}",
-              file=sys.stderr)
+        print(f"warning: {_shown(path)}: skipping unknown criterion "
+              f"{_shown(cid)}", file=sys.stderr)
     return report
 
 
@@ -140,8 +145,8 @@ def _each_page(groups: List[List[str]], catalog: Mapping, w: WeightConfig,
             decisions = engine.score_page(reports, catalog, w, frames)
         except (IndicatorError, OSError) as exc:
             # an OSError's own text repeats the path
-            print(f"error: {path}: {getattr(exc, 'strerror', 0) or exc}",
-                  file=sys.stderr)
+            message = _message(getattr(exc, "strerror", 0) or exc)
+            print(f"error: {_shown(path)}: {message}", file=sys.stderr)
             ok = False
             continue
         emit(reports[0].url, decisions)
@@ -163,7 +168,7 @@ def cmd_score(args) -> int:
             sys.stdout.write(tsv_header + "\t".join(
                 _text_row(url, decisions, args.ascii)) + "\n")
             tsv_header = ""
-        conflicts.extend(f"{_shown(url)} {_frame_key(k)}" for k in FRAMES
+        conflicts.extend(f"{_shown(url)} {k.value}" for k in FRAMES
                          if decisions[k].level is None)
 
     ok = _each_page(args.page, catalog, w, FRAMES, emit)
@@ -192,7 +197,8 @@ def cmd_fixtures(args) -> int:
             (out_dir / f"report-{args.kind}-{args.seed + i}.json").write_text(
                 text, encoding="utf-8")
     except OSError as exc:
-        print(f"error: cannot write fixtures: {exc}", file=sys.stderr)
+        print(f"error: cannot write fixtures: {_message(exc)}",
+              file=sys.stderr)
         return 1
     return 0
 
@@ -233,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
         "explain", help="trace estimates, masses and fusion for one frame")
     add_common(p_explain)
     p_explain.add_argument("--frame", required=True,
-                           help="|".join(map(_frame_key, FRAMES)))
+                           help="|".join(f.value for f in FRAMES))
     p_explain.set_defaults(func=cmd_explain)
 
     p_fix = sub.add_parser("fixtures", help="generate synthetic reports")
@@ -250,7 +256,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (IndicatorError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_message(exc)}", file=sys.stderr)
         return 1
 
 

@@ -20,7 +20,7 @@ from .errors import (EmptySourceSet, MixedUrls, OutOfRange, SchemaError,
 from .reports import AssessorReport
 from .wcag import (
     FRAMES,
-    FrameOrGlobal,
+    DeficiencyFrame,
     WeightConfig,
     criteria_in_frame,
     resolve_frame,
@@ -44,14 +44,12 @@ class EstimationParts(namedtuple(
             num_omega / den_omega if den_omega > 0 else 0.0)
 
 
-class AccessLevel(Enum):
+class AccessLevel(str, Enum):
     VERY_BAD = "very bad"
     BAD = "bad"
     MODERATE = "moderate"
     GOOD = "good"
     VERY_GOOD = "very good"
-
-    __hash__ = object.__hash__  # as DeficiencyFrame; glyph lookups hash
 
     @property
     def glyph(self) -> str:
@@ -90,7 +88,7 @@ class FrameDecision(namedtuple(
         return {s.name: s.discounted for s in self.sources}
 
 
-def estimate_parts(report: AssessorReport, frame: FrameOrGlobal,
+def estimate_parts(report: AssessorReport, frame: DeficiencyFrame,
                    catalog: Mapping) -> EstimationParts:
     """Evidence sums for one frame, with numerators and denominators split
     out; .triple() divides them, a zero denominator giving a zero term.
@@ -160,8 +158,8 @@ def discretize(d: float, w: WeightConfig) -> AccessLevel:
 
 
 def score_page(reports: Iterable[AssessorReport], catalog: Mapping,
-               w: WeightConfig, frames: Iterable[FrameOrGlobal] = FRAMES
-               ) -> Dict[FrameOrGlobal, FrameDecision]:
+               w: WeightConfig, frames: Iterable[DeficiencyFrame] = FRAMES
+               ) -> Dict[DeficiencyFrame, FrameDecision]:
     """Fuse all assessors' evidence for each of `frames` and decide, keyed
     in the order given, each name resolved as resolve_frame does. A
     repeated assessor name is made unique by appending #<index in the

@@ -24,38 +24,31 @@ class ConformanceLevel(Enum):
     AAA = "AAA"
 
 
-class DeficiencyFrame(Enum):
+class DeficiencyFrame(str, Enum):
+    """A scored frame, equal to its name; GLOBAL is every criterion."""
+
     VISUAL = "visual"
     HEARING = "hearing"
     MOTOR = "motor"
     COGNITIVE = "cognitive"
-
-    # Members are singletons that compare by identity; Enum's own __hash__
-    # is a Python-level call, paid on every `frame in spec.frames`.
-    __hash__ = object.__hash__
+    GLOBAL = "global"
 
 
-#: Pseudo-frame meaning "all criteria", kept out of the DeficiencyFrame enum.
-GLOBAL = "global"
-
-FrameOrGlobal = Union[DeficiencyFrame, str]
+GLOBAL = DeficiencyFrame.GLOBAL
 
 #: The five scored frames in output order: the deficiency frames, then global.
-FRAMES = (*DeficiencyFrame, GLOBAL)
+FRAMES = tuple(DeficiencyFrame)
 _frame_sets = (None, {})  # last read-only catalog (held), its frame sets
 
 
-def resolve_frame(name: FrameOrGlobal) -> FrameOrGlobal:
-    """Map a frame name (or enum member) to its canonical form."""
-    if isinstance(name, DeficiencyFrame) or name == GLOBAL:
+def resolve_frame(name: str) -> DeficiencyFrame:
+    """Map a frame name (or member), in any case, to its member."""
+    if isinstance(name, DeficiencyFrame):
         return name
-    key = str(name).lower()
-    if key == GLOBAL:
-        return GLOBAL
     try:
-        return DeficiencyFrame(key)
+        return DeficiencyFrame(str(name).lower())
     except ValueError:
-        names = ", ".join(getattr(f, "value", f) for f in FRAMES)
+        names = ", ".join(f.value for f in FRAMES)
         raise UnknownFrame(f"unknown frame {name!r}; expected one of "
                            f"{names}") from None
 
@@ -100,21 +93,23 @@ class CriterionSpec(namedtuple("CriterionSpec", "id level frames alpha")):
                 frames: FrozenSet[DeficiencyFrame], alpha: float):
         if not frames:
             raise SchemaError(f"criterion {id} belongs to no frame")
+        if GLOBAL in frames:
+            raise SchemaError(f"criterion {id}: frames may not list global")
         if not 0.0 < alpha <= 1.0:
             raise SchemaError(f"criterion {id} weight outside (0, 1]")
         return tuple.__new__(cls, (id, level, frames, alpha))
 
 
-def _ids_in_frame(catalog: Mapping, frame: FrameOrGlobal) -> frozenset:
+def _ids_in_frame(catalog: Mapping, frame: DeficiencyFrame) -> frozenset:
     return frozenset(cid for cid, c in catalog.items()
-                     if frame == GLOBAL or frame in c.frames)
+                     if frame is GLOBAL or frame in c.frames)
 
 
 def criteria_in_frame(catalog: Mapping[str, CriterionSpec],
-                      frame: FrameOrGlobal) -> frozenset:
-    """Ids of the criteria in one deficiency frame, or all of them for the
-    global pseudo-frame. The five sets of the last read-only catalog asked
-    about (as load_config returns) are kept; any other mapping is scanned."""
+                      frame: DeficiencyFrame) -> frozenset:
+    """Ids of the criteria in one deficiency frame, or all of them for
+    GLOBAL. The five sets of the last read-only catalog asked about (as
+    load_config returns) are kept; any other mapping is scanned."""
     global _frame_sets
     frame = resolve_frame(frame)
     if type(catalog) is not MappingProxyType:

@@ -8,7 +8,9 @@ import pytest
 
 import a11yfuse
 from a11yfuse.cli import main
+from a11yfuse.engine import AccessLevel
 from a11yfuse.reports import generate_fixture
+from a11yfuse.wcag import DeficiencyFrame
 
 
 @pytest.fixture
@@ -454,6 +456,17 @@ class TestConfigErrors:
                              "--page", *fixture_pair)
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("frames", [["global"], ["visual", "global"]])
+    def test_catalog_may_not_list_global_exit_1(self, capsys, tmp_path,
+                                                fixture_pair, frames):
+        catalog = write_json(tmp_path / "catalog.json",
+                             [{"id": "c1", "level": "A", "frames": frames}])
+        code, out, err = run(capsys, "score", "--catalog", catalog,
+                             "--page", *fixture_pair)
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and "c1" in err
+
     @pytest.mark.parametrize("cid", [7, 1.1, None, True, ["1.1.1"]])
     def test_catalog_id_must_be_a_string_exit_1(self, capsys, tmp_path, cid):
         # {"id": 7} once matched a report's {"criterion": 7} and scored
@@ -635,6 +648,114 @@ class TestTextEscaping:
         page = self.awkward_page(tmp_path, "\u00e9")
         _, out, _ = run(capsys, "score", "--format", "tsv", "--page", *page)
         assert out.splitlines()[1].startswith("https://x.test/a\u00e9b\t")
+
+
+RAW, SHOWN = "\n\x1b[31m", "\\x0a\\x1b[31m"
+
+
+def stderr_lines(err):
+    """stderr's lines, none of which may hold a character below 0x20."""
+    assert err.endswith("\n")
+    lines = err[:-1].split("\n")
+    assert all(c >= " " for line in lines for c in line), err
+    return lines
+
+
+class TestStderrLines:
+    """warning: and error: lines escape the text they quote from outside
+    (a report path, a criterion id, a message naming one), so each stays
+    one line and no terminal control reaches stderr."""
+
+    @staticmethod
+    def report(directory, name, criterion, **counts):
+        directory.mkdir(exist_ok=True)
+        return write_json(directory / name, {
+            "assessor": {"name": "t"}, "url": "u",
+            "observations": [{"criterion": criterion, **counts}]})
+
+    @pytest.mark.parametrize("dirname", ["plain", f"a{RAW}b"],
+                             ids=["plain-path", "raw-path"])
+    def test_unknown_criterion_warning(self, capsys, tmp_path, dirname):
+        path = self.report(tmp_path / dirname, "warn.json", f"x{RAW}y",
+                           n_ok=1)
+        code, _, err = run(capsys, "score", "--page", path)
+        assert code == 0
+        assert stderr_lines(err) == [
+            f"warning: {path.replace(RAW, SHOWN)}: skipping unknown "
+            f"criterion x{SHOWN}y"]
+
+    @pytest.mark.parametrize("dirname", ["plain", f"a{RAW}b"],
+                             ids=["plain-path", "raw-path"])
+    def test_count_fault_error(self, capsys, tmp_path, dirname):
+        path = self.report(tmp_path / dirname, "bad.json", f"1.1.1{RAW}X",
+                           n_err=5, t_err=2)
+        code, out, err = run(capsys, "score", "--page", path)
+        assert (code, out) == (1, "")
+        [line] = stderr_lines(err)
+        assert line.startswith(f"error: {path.replace(RAW, SHOWN)}: "
+                               f"criterion 1.1.1{SHOWN}X: ")
+
+    def test_missing_report_error(self, capsys, tmp_path):
+        path = str(tmp_path / f"a{RAW}b" / "missing.json")
+        code, out, err = run(capsys, "score", "--page", path)
+        assert (code, out) == (1, "")
+        assert stderr_lines(err) == [
+            f"error: {path.replace(RAW, SHOWN)}: No such file or directory"]
+
+    def test_catalog_error(self, capsys, tmp_path, fixture_pair):
+        catalog = write_json(tmp_path / "catalog.json", [
+            {"id": f"c1{RAW}X", "level": "A", "frames": []}])
+        code, out, err = run(capsys, "score", "--catalog", catalog,
+                             "--page", *fixture_pair)
+        assert (code, out) == (1, "")
+        assert stderr_lines(err) == [
+            f"error: criterion c1{SHOWN}X belongs to no frame"]
+
+    def test_fixtures_error(self, capsys, tmp_path):
+        blocker = tmp_path / f"a{RAW}b"
+        blocker.write_text("x", encoding="utf-8")
+        code, out, err = run(capsys, "fixtures", "--seed", "1",
+                             "--out", str(blocker / "fx"))
+        assert (code, out) == (1, "")
+        [line] = stderr_lines(err)
+        assert line.startswith("error: cannot write fixtures: ")
+
+
+class TestMembersAreNeverFormatted:
+    """Every renderer writes a frame's or a level's .value: format() and
+    str() of a member give "DeficiencyFrame.VISUAL" on Python 3.11 and
+    later, so here they raise."""
+
+    @pytest.fixture(autouse=True)
+    def unformattable(self, monkeypatch):
+        def refuse(member, *args):
+            raise AssertionError(f"{type(member).__name__} member formatted")
+
+        for cls in (DeficiencyFrame, AccessLevel):
+            monkeypatch.setattr(cls, "__format__", refuse)
+            monkeypatch.setattr(cls, "__str__", refuse)
+
+    @pytest.mark.parametrize("argv", [
+        ("score", "--format", "json"), ("score",),
+        ("score", "--format", "tsv", "--ascii"),
+        *(("explain", "--frame", frame) for frame in
+          ("visual", "hearing", "motor", "cognitive", "global"))])
+    def test_renderings(self, capsys, fixture_pair, argv):
+        code, out, err = run(capsys, *argv, "--page", *fixture_pair)
+        assert (code, err) == (0, "") and out
+
+    def test_conflict_line(self, capsys, conflict_pair):
+        code, _, err = run(capsys, "score", "--page", *conflict_pair)
+        assert code == 1
+        assert err.splitlines() == [f"error: total conflict: u {frame}"
+                                    for frame in ("visual", "cognitive",
+                                                  "global")]
+
+    def test_the_patch_bites(self):
+        with pytest.raises(AssertionError):
+            f"{DeficiencyFrame.VISUAL}"
+        with pytest.raises(AssertionError):
+            str(AccessLevel.GOOD)
 
 
 class TestExplain:

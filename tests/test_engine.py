@@ -226,6 +226,13 @@ class TestMassesFromEstimates:
         assert m == MassFunction(1, 0, 0, 0)
 
 
+def level_id(value):
+    """A level's test id as pytest wrote it when AccessLevel was a plain
+    Enum (a str enum gets its value), so the ids stay the same."""
+    return f"AccessLevel.{value.name}" if isinstance(value, AccessLevel) \
+        else None
+
+
 class TestDiscretize:
     # decision values and arrows from the published per-site results
     @pytest.mark.parametrize("value, level", [
@@ -233,7 +240,7 @@ class TestDiscretize:
         (0.686, AccessLevel.BAD),
         (0.769, AccessLevel.MODERATE),
         (0.630, AccessLevel.BAD),
-    ])
+    ], ids=level_id)
     def test_published_examples(self, value, level):
         assert discretize(value, WeightConfig()) is level
 
@@ -244,7 +251,7 @@ class TestDiscretize:
         (0.8, AccessLevel.GOOD),
         (0.9, AccessLevel.VERY_GOOD),
         (1.0, AccessLevel.VERY_GOOD),
-    ])
+    ], ids=level_id)
     def test_threshold_boundaries_take_better_level(self, value, level):
         assert discretize(value, WeightConfig()) is level
 
@@ -374,6 +381,16 @@ class TestScorePage:
         result = score_page([r], catalog, w)
         assert len(result) == 5
         assert GLOBAL in result
+
+    def test_results_index_by_name_or_member(self):
+        catalog, w = load_config()
+        r = parse_report(generate_fixture(1, "balanced"), catalog)
+        result = score_page([r], catalog, w)
+        for frame in FRAMES:
+            assert result[frame.value] is result[frame]
+        assert AccessLevel.GOOD == "good"
+        assert [level.value for level in AccessLevel] == \
+            ["very bad", "bad", "moderate", "good", "very good"]
 
     def test_chosen_frames_score_as_all_frames(self):
         catalog, w = load_config()

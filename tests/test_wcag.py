@@ -85,6 +85,14 @@ class TestCriteriaInFrame:
         with pytest.raises(UnknownFrame):
             resolve_frame("auditory")
 
+    def test_frames_equal_their_names(self):
+        assert GLOBAL == "global" and isinstance(GLOBAL, DeficiencyFrame)
+        assert FRAMES == tuple(DeficiencyFrame)
+        assert FRAMES == ("visual", "hearing", "motor", "cognitive", "global")
+        for frame in FRAMES:
+            assert resolve_frame(frame.value) is frame
+            assert {frame.value: 1}[frame] == 1
+
 
 def scanned_ids(catalog, frame):
     """criteria_in_frame as it was before it kept sets: a scan per call."""
@@ -103,7 +111,7 @@ class TestFrameSetsBuiltOnce:
             got = criteria_in_frame(catalog, frame)
             assert type(got) is frozenset
             assert got == scanned_ids(catalog, frame)
-            name = getattr(frame, "value", frame)
+            name = frame.value
             assert criteria_in_frame(catalog, name) == got
 
     def test_read_only_catalog_keeps_its_sets(self):
@@ -216,6 +224,12 @@ class TestLoading:
         with pytest.raises(SchemaError):
             load_config([{"id": "c1", "level": "A", "frames": []}])
 
+    @pytest.mark.parametrize("frames", [["global"], ["visual", "global"]])
+    def test_global_frame_rejected(self, frames):
+        # GLOBAL is every criterion, so no entry may list it
+        with pytest.raises(SchemaError, match=r"\bc1\b"):
+            load_config([{"id": "c1", "level": "A", "frames": frames}])
+
     def test_bad_thresholds_rejected(self):
         with pytest.raises(SchemaError):
             load_config({"criteria": [], "thresholds": [0.9, 0.8, 0.7, 0.6]})
@@ -282,6 +296,15 @@ class TestLoadConfig:
 class TestCriterionSpec:
     def test_requires_frames(self):
         with pytest.raises(SchemaError):
+            CriterionSpec("c1", ConformanceLevel.A, frozenset(), 1.0)
+
+    def test_global_is_no_catalog_frame(self):
+        for frames in ({GLOBAL}, {DeficiencyFrame.VISUAL, GLOBAL}):
+            with pytest.raises(SchemaError, match="^criterion c1: "):
+                CriterionSpec("c1", ConformanceLevel.A, frozenset(frames),
+                              1.0)
+        with pytest.raises(SchemaError,
+                           match="^criterion c1 belongs to no frame$"):
             CriterionSpec("c1", ConformanceLevel.A, frozenset(), 1.0)
 
     def test_weight_range(self):
