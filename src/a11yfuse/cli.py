@@ -35,32 +35,28 @@ def _cell(d: FrameDecision, ascii_mode: bool) -> str:
 
 def _escape(c: str) -> str:
     n = ord(c)
-    if c == "\\":
-        return "\\\\"
     if n < 0x100:
         return f"\\x{n:02x}"
     return f"\\u{n:04x}" if n < 0x10000 else f"\\U{n:08x}"
 
 
-def _shown(text: str) -> str:
-    """Report text as text output writes it: unchanged if printable and
-    free of backslashes, else with each backslash doubled and each
-    non-printable character written as a \\xNN, \\uNNNN or \\UNNNNNNNN
-    escape, so that no tab, newline or terminal control reaches a row."""
-    if "\\" not in text and text.isprintable():
-        return text
-    return "".join(c if c.isprintable() and c != "\\" else _escape(c)
-                   for c in text)
-
-
 def _message(exc) -> str:
-    """An error's text for one stderr line: each non-printable character
-    escaped as _shown escapes it, but each backslash kept, since the
-    messages quote values through repr(), whose escapes hold them."""
+    """An error's text for one stderr line: unchanged if printable, else
+    with each non-printable character written as a \\xNN, \\uNNNN or
+    \\UNNNNNNNN escape, so that no tab, newline or terminal control
+    reaches the line. Backslashes are kept: messages quote values through
+    repr(), whose escapes hold them."""
     text = str(exc)
     if text.isprintable():
         return text
     return "".join(c if c.isprintable() else _escape(c) for c in text)
+
+
+def _shown(text: str) -> str:
+    """Report text as text output writes it: as _message writes it, with
+    each backslash doubled first, so that an escape cannot be mistaken
+    for report text."""
+    return _message(text.replace("\\", "\\\\"))
 
 
 def _text_row(url: str, decisions: Decisions, ascii_mode: bool) -> tuple:

@@ -226,21 +226,16 @@ class TestMassesFromEstimates:
         assert m == MassFunction(1, 0, 0, 0)
 
 
-def level_id(value):
-    """A level's test id as pytest wrote it when AccessLevel was a plain
-    Enum (a str enum gets its value), so the ids stay the same."""
-    return f"AccessLevel.{value.name}" if isinstance(value, AccessLevel) \
-        else None
-
-
 class TestDiscretize:
+    # ids=str ids a level as AccessLevel.<NAME>; by default pytest would
+    # id a str enum by its value
     # decision values and arrows from the published per-site results
     @pytest.mark.parametrize("value, level", [
         (0.972, AccessLevel.VERY_GOOD),
         (0.686, AccessLevel.BAD),
         (0.769, AccessLevel.MODERATE),
         (0.630, AccessLevel.BAD),
-    ], ids=level_id)
+    ], ids=str)
     def test_published_examples(self, value, level):
         assert discretize(value, WeightConfig()) is level
 
@@ -251,7 +246,7 @@ class TestDiscretize:
         (0.8, AccessLevel.GOOD),
         (0.9, AccessLevel.VERY_GOOD),
         (1.0, AccessLevel.VERY_GOOD),
-    ], ids=level_id)
+    ], ids=str)
     def test_threshold_boundaries_take_better_level(self, value, level):
         assert discretize(value, WeightConfig()) is level
 
