@@ -116,10 +116,11 @@ def _render_explain(url: str, d: FrameDecision, ascii_mode: bool) -> str:
 
 def _read_report(path: str, catalog: Mapping) -> AssessorReport:
     with open(path, "rb") as f:
-        report = parse_report(f.read(), catalog)
-    for cid in report.skipped:  # a criterion missing from the catalog
-        print(f"warning: {_shown(path)}: skipping unknown criterion "
-              f"{_shown(cid)}", file=sys.stderr)
+        report = parse_report(f.read())
+    for cid in report.observations:  # in document order
+        if cid not in catalog:
+            print(f"warning: {_shown(path)}: skipping unknown criterion "
+                  f"{_shown(cid)}", file=sys.stderr)
     return report
 
 

@@ -15,8 +15,7 @@ from typing import Dict, Iterable, Mapping
 
 from . import belief
 from .belief import MassFunction
-from .errors import (EmptySourceSet, MixedUrls, OutOfRange, SchemaError,
-                     TotalConflict)
+from .errors import EmptySourceSet, MixedUrls, OutOfRange, TotalConflict
 from .reports import AssessorReport
 from .wcag import (
     FRAMES,
@@ -89,19 +88,15 @@ class FrameDecision(namedtuple(
 
 
 def estimate_parts(report: AssessorReport, frame: DeficiencyFrame,
-                   catalog: Mapping) -> EstimationParts:
+                   catalog: Mapping, tested: int) -> EstimationParts:
     """Evidence sums for one frame, with numerators and denominators split
     out; .triple() divides them, a zero denominator giving a zero term.
 
-    Correct checkpoints are normalized by the assessor's total test count
-    over every observation the catalog keeps, in all frames
-    (report.total_tests); errors and uncertain problems are
-    normalized by the frame-restricted test totals. Only the report's
-    observations whose ids criteria_in_frame returns contribute.
-
-    The report must hold only ids the catalog has, as parse_report with
-    this catalog leaves it: total_tests counts every observation, so one
-    the catalog lacks would still weigh on e_ac.
+    Correct checkpoints are normalized by `tested`, the assessor's total
+    test count over every observation the catalog holds, in all frames;
+    errors and uncertain problems are normalized by the frame-restricted
+    test totals. Only the report's observations whose ids
+    criteria_in_frame returns contribute.
     """
     frame_ids = criteria_in_frame(catalog, frame)
     _, beta_err, beta_likely, beta_potential, _ = report.profile
@@ -121,7 +116,7 @@ def estimate_parts(report: AssessorReport, frame: DeficiencyFrame,
         num_omega += (n_likely * alpha * beta_likely
                       + n_potential * alpha * beta_potential)
         den_omega += t_likely + t_potential
-    return EstimationParts(num_ac, float(report.total_tests), num_nac,
+    return EstimationParts(num_ac, float(tested), num_nac,
                            float(den_nac), num_omega, float(den_omega))
 
 
@@ -163,8 +158,7 @@ def score_page(reports: Iterable[AssessorReport], catalog: Mapping,
     """Fuse all assessors' evidence for each of `frames` and decide, keyed
     in the order given, each name resolved as resolve_frame does. A
     repeated assessor name is made unique by appending #<index in the
-    page>. A report holding a criterion the catalog lacks is a SchemaError:
-    parse each report with the catalog it is scored under."""
+    page>. Only the criteria the catalog holds count."""
     frames = [resolve_frame(frame) for frame in frames]
     report_list = list(reports)
     if not report_list:
@@ -172,13 +166,6 @@ def score_page(reports: Iterable[AssessorReport], catalog: Mapping,
     urls = {r.url for r in report_list}
     if len(urls) > 1:
         raise MixedUrls(f"reports refer to different pages: {sorted(urls)}")
-    for report in report_list:
-        if not report.observations.keys() <= catalog.keys():
-            cid = next(c for c in report.observations if c not in catalog)
-            raise SchemaError(
-                f"report of {report.url!r} by {report.profile.name!r} holds "
-                f"criterion {cid!r}, which the catalog lacks; parse the report "
-                f"with this catalog")
 
     named = []
     names = set()
@@ -187,13 +174,16 @@ def score_page(reports: Iterable[AssessorReport], catalog: Mapping,
         if name in names:
             name = f"{name}#{idx}"
         names.add(name)
-        named.append((name, delta, report))
+        obs = report.observations
+        tested = report.total_tests - sum(
+            obs[c].tests_run for c in obs.keys() - catalog.keys())
+        named.append((name, delta, report, tested))
 
     decisions = {}
     for frame in frames:
         sources = []
-        for name, delta, report in named:
-            parts = estimate_parts(report, frame, catalog)
+        for name, delta, report, tested in named:
+            parts = estimate_parts(report, frame, catalog, tested)
             m = masses_from_estimates(parts.triple())
             sources.append(SourceResult(name, delta, parts, m,
                                         belief.discount(m, delta)))

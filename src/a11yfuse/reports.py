@@ -12,7 +12,7 @@ import functools
 import json
 import random
 from collections import namedtuple
-from typing import Dict, Mapping, Optional
+from typing import Dict, Optional
 
 from .errors import CountInconsistency, SchemaError
 from .wcag import WeightConfig, _unknown_keys, load_config
@@ -101,11 +101,9 @@ _REPORT_KEYS = frozenset(("assessor", "url", "observations", "total_tests"))
 
 
 class AssessorReport(namedtuple(
-        "AssessorReport", "profile url observations total_tests skipped")):
+        "AssessorReport", "profile url observations total_tests")):
     """One assessor's validated evaluation of one page. total_tests, the
-    tests run summed over all observations, is computed, not passed, and
-    so is skipped: the ids parse_report left out because the catalog lacks
-    them, in document order, and () for a report built here."""
+    tests run summed over all observations, is computed, not passed."""
 
     __slots__ = ()
 
@@ -118,11 +116,10 @@ class AssessorReport(namedtuple(
                 raise SchemaError(f"observation keyed {cid} carries "
                                   f"criterion id {obs.criterion_id}")
         return tuple.__new__(cls, (profile, url, observations, sum(
-            o.tests_run for o in observations.values()), ()))
+            o.tests_run for o in observations.values())))
 
 
-def parse_report(document,
-                 catalog: Optional[Mapping] = None) -> AssessorReport:
+def parse_report(document) -> AssessorReport:
     """Parse and validate a canonical report (JSON text, UTF-8 bytes or
     parsed dict). Any top-level key beyond "assessor", "url",
     "observations" and "total_tests", any key beyond "name" and the four
@@ -130,11 +127,8 @@ def parse_report(document,
     counts in an observation, is a SchemaError. So is a url or assessor
     name that does not encode as UTF-8: one holding a lone surrogate.
 
-    Criteria missing from the catalog are validated, then skipped: their
-    ids, in document order, are the report's skipped field. A stored
-    total_tests field must match the tests run summed over every
-    observation entry, skipped ones included (corruption guard), or be
-    absent; the report's total_tests sums the kept observations.
+    A stored total_tests field must match the tests run summed over every
+    observation entry (corruption guard), or be absent.
     """
     if isinstance(document, (str, bytes)):
         try:
@@ -172,8 +166,7 @@ def parse_report(document,
                 from None
 
     observations: Dict[str, CriterionObservation] = {}
-    skipped = {}  # a dict keeps document order and finds ids in O(1)
-    total = document_total = 0
+    total = 0
     for entry in raw_obs:
         if not isinstance(entry, dict) or "criterion" not in entry:
             raise SchemaError(f"bad observation entry: {entry!r}")
@@ -182,34 +175,26 @@ def parse_report(document,
             raise SchemaError(f"criterion must be a string, got {cid!r}")
         if not _ENTRY_KEYS.issuperset(entry):
             raise _unknown_keys(f"criterion {cid}", entry, _ENTRY_KEYS)
-        if cid in observations or cid in skipped:
+        if cid in observations:
             raise SchemaError(f"duplicate observation for criterion {cid}")
         get = entry.get
         counts = (get("n_err", 0), get("n_ok", 0), get("n_likely", 0),
                   get("n_potential", 0), get("t_err", 0), get("t_likely", 0),
                   get("t_potential", 0))
         _check_counts(cid, counts)
-        tests_run = sum(counts[:4])  # n_err + n_ok + n_likely + n_potential
-        document_total += tests_run
-        if catalog is None or cid in catalog:
-            observations[cid] = tuple.__new__(CriterionObservation,
-                                              (cid, *counts))
-            total += tests_run
-        else:
-            skipped[cid] = None
+        observations[cid] = tuple.__new__(CriterionObservation, (cid, *counts))
+        total += sum(counts[:4])  # n_err + n_ok + n_likely + n_potential
 
     if "total_tests" in document:
-        # the document's total covers its skipped entries too
         stored = document["total_tests"]
         if type(stored) is not int:
             raise SchemaError(f"total_tests must be an integer, got "
                               f"{stored!r}")
-        if stored != document_total:
+        if stored != total:
             raise CountInconsistency(
                 f"stored total_tests={stored} does not match the "
-                f"recomputed sum {document_total}")
-    return tuple.__new__(AssessorReport, (profile, url, observations, total,
-                                          tuple(skipped)))
+                f"recomputed sum {total}")
+    return tuple.__new__(AssessorReport, (profile, url, observations, total))
 
 
 # The canonical form is json.dumps(doc, indent=2, sort_keys=True) plus a

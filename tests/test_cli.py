@@ -349,6 +349,16 @@ class TestSubsetCatalog:
         assert (0, out, "") == run(capsys, "score", "--catalog", catalog,
                                    "--page", *stripped)
 
+    def test_skipped_ids_keep_document_order(self, capsys, tmp_path):
+        path = write_json(tmp_path / "r.json", {
+            "assessor": {"name": "t"}, "url": "u",
+            "observations": [{"criterion": cid, "n_ok": 1}
+                             for cid in ("9.9.9", "1.1.1", "8.8.8")]})
+        code, _, err = run(capsys, "score", "--page", path)
+        assert (code, err.splitlines()) == (0, [
+            f"warning: {path}: skipping unknown criterion 9.9.9",
+            f"warning: {path}: skipping unknown criterion 8.8.8"])
+
     @pytest.mark.parametrize("argv", [("score",),
                                       ("explain", "--frame", "global")])
     def test_report_that_fails_prints_only_its_error(self, capsys, tmp_path,

@@ -17,8 +17,8 @@ from a11yfuse.engine import (
     masses_from_estimates,
     score_page,
 )
-from a11yfuse.errors import (EmptySourceSet, MixedUrls, OutOfRange,
-                             SchemaError, UnknownFrame)
+from a11yfuse.cli import main
+from a11yfuse.errors import EmptySourceSet, MixedUrls, OutOfRange, UnknownFrame
 from a11yfuse.reports import FIXTURE_KINDS, generate_fixture, parse_report
 from a11yfuse.wcag import (
     FRAMES,
@@ -68,7 +68,7 @@ def frames_against_reference(docs, entries, weights=None):
     catalog, w = load_config({"criteria": entries, "weights": weights or {}})
     alpha = ({level: weights[level.lower()] for level in ref.ALPHA}
              if weights else ref.ALPHA)
-    reports = [parse_report(doc, catalog) for doc in docs]
+    reports = [parse_report(doc) for doc in docs]
     page = score_page(reports, catalog, w)
     ref_catalog = {e["id"]: (alpha[e["level"]], frozenset(e["frames"]))
                    for e in entries}
@@ -166,7 +166,7 @@ class TestEstimate:
         r = report_for(n_ok=8, n_err=2, n_likely=1,
                        t_err=4, t_likely=2)
         e_ac, e_nac, e_omega = estimate_parts(
-            r, DeficiencyFrame.VISUAL, catalog).triple()
+            r, DeficiencyFrame.VISUAL, catalog, r.total_tests).triple()
         # total tests = 8 + 2 + 1 = 11
         assert math.isclose(e_ac, 8 / 11, abs_tol=1e-12)
         assert math.isclose(e_nac, 2 / 4, abs_tol=1e-12)
@@ -176,14 +176,15 @@ class TestEstimate:
         catalog, w = one_criterion_catalog()
         r = report_for(n_ok=5)
         e_ac, e_nac, e_omega = estimate_parts(
-            r, DeficiencyFrame.VISUAL, catalog).triple()
+            r, DeficiencyFrame.VISUAL, catalog, r.total_tests).triple()
         assert (e_nac, e_omega) == (0.0, 0.0)
         assert e_ac == 1.0
 
     def test_frame_without_criteria_is_all_zero(self):
         catalog, w = one_criterion_catalog()
         r = report_for(n_ok=5, n_err=1, t_err=2)
-        e = estimate_parts(r, DeficiencyFrame.HEARING, catalog).triple()
+        e = estimate_parts(r, DeficiencyFrame.HEARING, catalog,
+                           r.total_tests).triple()
         assert e == (0.0, 0.0, 0.0)
 
     def test_correct_count_normalized_by_all_frames(self):
@@ -207,7 +208,7 @@ class TestEstimate:
         }
         r = parse_report(doc)
         e_ac, _, _ = estimate_parts(
-            r, DeficiencyFrame.VISUAL, catalog).triple()
+            r, DeficiencyFrame.VISUAL, catalog, r.total_tests).triple()
         assert math.isclose(e_ac, 4 / 10, abs_tol=1e-12)
 
 
@@ -291,7 +292,7 @@ class TestScoreFrame:
 
     def test_source_order_invariance(self):
         catalog, w = load_config()
-        reports = [parse_report(generate_fixture(11, kind), catalog)
+        reports = [parse_report(generate_fixture(11, kind))
                    for kind in ("balanced", "error-heavy", "potential-heavy")]
         decisions = [
             score_page(list(p), catalog, w, (GLOBAL,))[GLOBAL].decision
@@ -311,23 +312,30 @@ class TestScoreFrame:
                         report_for(n_ok=1, url="b", name="tool-b")],
                        catalog, w, (VISUAL,))
 
-    def test_report_parsed_without_the_catalog(self):
-        # e_ac's denominator counted the entries the catalog lacks: visual
-        # 0.520 "very bad", where parsing with the catalog gives 0.612 "bad"
+    def test_report_parsed_without_the_catalog(self, capsys, tmp_path):
+        # a report holds every entry and the engine applies the catalog, so
+        # the library decides as the CLI does: visual 0.612 "bad" and
+        # global 0.631; counting the entries the catalog lacks in e_ac's
+        # denominator would give visual 0.520 "very bad"
         catalog, w = load_config(ENTRIES[:40])
-        docs = [json.loads(generate_fixture(3, kind))
-                for kind in ("error-heavy", "potential-heavy")]
-        kept = [parse_report(doc, catalog) for doc in docs]
-        assert f"{score_page(kept, catalog, w)[VISUAL].decision:.3f}" == \
-            "0.612"
-        unknown = next(o["criterion"] for o in docs[1]["observations"]
-                       if o["criterion"] not in catalog)
-        with pytest.raises(SchemaError) as raised:
-            score_page([kept[0], parse_report(docs[1])], catalog, w)
-        assert str(raised.value) == (
-            f"report of 'https://example.test/page-3' by "
-            f"'potential-heavy-assessor' holds criterion {unknown!r}, which "
-            f"the catalog lacks; parse the report with this catalog")
+        texts = [generate_fixture(3, kind)
+                 for kind in ("error-heavy", "potential-heavy")]
+        page = score_page([parse_report(t) for t in texts], catalog, w)
+        paths = []
+        for i, text in enumerate(texts):
+            paths.append(tmp_path / f"r{i}.json")
+            paths[-1].write_text(text, encoding="utf-8")
+        catalog_path = tmp_path / "catalog.json"
+        catalog_path.write_text(json.dumps(ENTRIES[:40]), encoding="utf-8")
+        assert main(["score", "--format", "json", "--catalog",
+                     str(catalog_path), "--page", *map(str, paths)]) == 0
+        frames = json.loads(capsys.readouterr().out)["frames"]
+        assert {name: (f["decision"], f["level"])
+                for name, f in frames.items()} == {
+            frame.value: (round(d.decision, 3), d.level.value)
+            for frame, d in page.items()}
+        assert (frames["visual"]["decision"], frames["visual"]["level"],
+                frames["global"]["decision"]) == (0.612, "bad", 0.631)
 
     def test_discounted_source_commits_less(self):
         catalog, w = one_criterion_catalog()
@@ -344,7 +352,8 @@ class TestScoreFrame:
         d = score_page([r], catalog, w, (VISUAL,))[VISUAL]
         (src,) = d.sources
         assert (src.name, src.delta) == ("tool-a", 0.8)
-        assert src.parts == estimate_parts(r, DeficiencyFrame.VISUAL, catalog)
+        assert src.parts == estimate_parts(r, DeficiencyFrame.VISUAL, catalog,
+                                           r.total_tests)
         assert src.mass == masses_from_estimates(src.parts.triple())
         assert src.discounted.isclose(MassFunction(
             0.8 * src.mass.ac, 0.8 * src.mass.nac,
@@ -372,14 +381,14 @@ class TestScoreFrame:
 class TestScorePage:
     def test_five_entries(self):
         catalog, w = load_config()
-        r = parse_report(generate_fixture(1, "balanced"), catalog)
+        r = parse_report(generate_fixture(1, "balanced"))
         result = score_page([r], catalog, w)
         assert len(result) == 5
         assert GLOBAL in result
 
     def test_results_index_by_name_or_member(self):
         catalog, w = load_config()
-        r = parse_report(generate_fixture(1, "balanced"), catalog)
+        r = parse_report(generate_fixture(1, "balanced"))
         result = score_page([r], catalog, w)
         for frame in FRAMES:
             assert result[frame.value] is result[frame]
@@ -390,7 +399,7 @@ class TestScorePage:
     def test_chosen_frames_score_as_all_frames(self):
         catalog, w = load_config()
         for seed in range(50):
-            reports = [parse_report(generate_fixture(seed, kind), catalog)
+            reports = [parse_report(generate_fixture(seed, kind))
                        for kind in FIXTURE_KINDS]
             page = score_page(reports, catalog, w)
             for frame in FRAMES:
@@ -400,7 +409,7 @@ class TestScorePage:
 
     def test_frame_names_resolve_in_the_order_given(self):
         catalog, w = load_config()
-        r = parse_report(generate_fixture(1, "balanced"), catalog)
+        r = parse_report(generate_fixture(1, "balanced"))
         page = score_page([r], catalog, w,
                           ("Global", "visual", DeficiencyFrame.MOTOR))
         assert list(page) == [GLOBAL, VISUAL, DeficiencyFrame.MOTOR]
@@ -452,6 +461,20 @@ class TestScorePage:
         for got, want in frames.values():
             assert decides_like_reference(got, want)
 
+    def test_one_parse_scores_under_each_catalog(self):
+        # the same reports, parsed once, score as the reference does under
+        # the packaged catalog and under a catalog lacking some criteria
+        docs = [json.loads(generate_fixture(3, kind))
+                for kind in ("error-heavy", "potential-heavy")]
+        reports = [parse_report(doc) for doc in docs]
+        for entries in (ENTRIES, ENTRIES[:40]):
+            catalog, w = load_config(entries)
+            page = score_page(reports, catalog, w)
+            for frame, (got, want) in zip(
+                    FRAMES, frames_against_reference(docs, entries)):
+                assert page[frame] == got
+                assert decides_like_reference(page[frame], want)
+
     @given(st.lists(REPORT_DOC, min_size=1, max_size=4),
            st.sets(st.integers(0, len(ENTRIES) - 1), min_size=1),
            st.lists(st.floats(0.0, 1.0, exclude_min=True),
@@ -487,7 +510,7 @@ class TestFixturePages:
         # one source commits fully to "accessible" in the hearing frame;
         # the pignistic value used to come out at 1.0000000000000002
         catalog, w = load_config()
-        reports = [parse_report(generate_fixture(148, kind), catalog)
+        reports = [parse_report(generate_fixture(148, kind))
                    for kind in ("error-heavy", "potential-heavy")]
         hearing = score_page(reports, catalog, w)[DeficiencyFrame.HEARING]
         assert hearing.decision == 1.0
@@ -497,7 +520,7 @@ class TestFixturePages:
            st.sampled_from(FIXTURE_KINDS))
     def test_score_page_never_raises_on_fixture_pairs(self, seed, k1, k2):
         catalog, w = load_config()
-        reports = [parse_report(generate_fixture(seed, k), catalog)
+        reports = [parse_report(generate_fixture(seed, k))
                    for k in (k1, k2)]
         for d in score_page(reports, catalog, w).values():
             assert d.decision is None or 0.0 <= d.decision <= 1.0
@@ -557,5 +580,6 @@ class TestWeightConsistency:
             }
             r = parse_report(doc)
             masses.append(masses_from_estimates(
-                estimate_parts(r, DeficiencyFrame.VISUAL, catalog).triple()))
+                estimate_parts(r, DeficiencyFrame.VISUAL, catalog,
+                               r.total_tests).triple()))
         assert masses[0].isclose(masses[1], 1e-12)
