@@ -117,7 +117,7 @@ def _render_explain(url: str, d: FrameDecision, ascii_mode: bool) -> str:
 def _read_report(path: str, catalog: Mapping) -> AssessorReport:
     with open(path, "rb") as f:
         report = parse_report(f.read())
-    for cid in report.observations:  # in document order
+    for cid in report.observations:  # not a set: keep document order
         if cid not in catalog:
             print(f"warning: {_shown(path)}: skipping unknown criterion "
                   f"{_shown(cid)}", file=sys.stderr)

@@ -81,17 +81,17 @@ def _check_counts(criterion_id: str, counts: tuple) -> None:
         return
     for key, v in zip(_OBS_KEYS, counts):
         if type(v) is not int or v < 0:
-            raise SchemaError(f"criterion {criterion_id}: {key} must be "
+            raise SchemaError(f"criterion {criterion_id!r}: {key} must be "
                               f"a non-negative integer, got {v!r}")
         if v > 2 ** 53:
-            raise SchemaError(f"criterion {criterion_id}: {key} is above "
+            raise SchemaError(f"criterion {criterion_id!r}: {key} is above "
                               f"2**53, the largest exact float count")
     for n, t, label in ((n_err, t_err, "errors"),
                         (n_likely, t_likely, "likely problems"),
                         (n_potential, t_potential, "potential problems")):
         if n > t:
             raise CountInconsistency(
-                f"criterion {criterion_id}: {n} {label} observed "
+                f"criterion {criterion_id!r}: {n} {label} observed "
                 f"but only {t} applicable tests")
 
 
@@ -113,8 +113,8 @@ class AssessorReport(namedtuple(
             observations = {}
         for cid, obs in observations.items():
             if cid != obs.criterion_id:
-                raise SchemaError(f"observation keyed {cid} carries "
-                                  f"criterion id {obs.criterion_id}")
+                raise SchemaError(f"observation keyed {cid!r} carries "
+                                  f"criterion id {obs.criterion_id!r}")
         return tuple.__new__(cls, (profile, url, observations, sum(
             o.tests_run for o in observations.values())))
 
@@ -174,9 +174,9 @@ def parse_report(document) -> AssessorReport:
         if not isinstance(cid, str):
             raise SchemaError(f"criterion must be a string, got {cid!r}")
         if not _ENTRY_KEYS.issuperset(entry):
-            raise _unknown_keys(f"criterion {cid}", entry, _ENTRY_KEYS)
+            raise _unknown_keys(f"criterion {cid!r}", entry, _ENTRY_KEYS)
         if cid in observations:
-            raise SchemaError(f"duplicate observation for criterion {cid}")
+            raise SchemaError(f"duplicate observation for criterion {cid!r}")
         get = entry.get
         counts = (get("n_err", 0), get("n_ok", 0), get("n_likely", 0),
                   get("n_potential", 0), get("t_err", 0), get("t_likely", 0),

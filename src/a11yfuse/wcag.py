@@ -92,11 +92,11 @@ class CriterionSpec(namedtuple("CriterionSpec", "id level frames alpha")):
     def __new__(cls, id: str, level: ConformanceLevel,
                 frames: FrozenSet[DeficiencyFrame], alpha: float):
         if not frames:
-            raise SchemaError(f"criterion {id} belongs to no frame")
+            raise SchemaError(f"criterion {id!r} belongs to no frame")
         if GLOBAL in frames:
-            raise SchemaError(f"criterion {id}: frames may not list global")
+            raise SchemaError(f"criterion {id!r}: frames may not list global")
         if not 0.0 < alpha <= 1.0:
-            raise SchemaError(f"criterion {id} weight outside (0, 1]")
+            raise SchemaError(f"criterion {id!r} weight outside (0, 1]")
         return tuple.__new__(cls, (id, level, frames, alpha))
 
 
@@ -142,15 +142,15 @@ def _build_catalog(entries: Iterable[dict], w: WeightConfig) -> Mapping:
             level = ConformanceLevel(entry["level"])
             frames = entry["frames"]
             if not isinstance(frames, (list, tuple)):
-                raise SchemaError(f"criterion {cid}: frames must be an "
+                raise SchemaError(f"criterion {cid!r}: frames must be an "
                                   f"array, got {frames!r}")
             frames = frozenset(DeficiencyFrame(f) for f in frames)
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad catalog entry {entry!r}: {exc}") from exc
         if not _CRITERION_KEYS.issuperset(entry):
-            raise _unknown_keys(f"criterion {cid}", entry, _CRITERION_KEYS)
+            raise _unknown_keys(f"criterion {cid!r}", entry, _CRITERION_KEYS)
         if cid in criteria:
-            raise SchemaError(f"duplicate criterion id {cid}")
+            raise SchemaError(f"duplicate criterion id {cid!r}")
         criteria[cid] = CriterionSpec(cid, level, frames, alpha_for(level, w))
     return MappingProxyType(criteria)
 

@@ -457,7 +457,7 @@ class TestConfigErrors:
         ({"criteria": [ONE_CRITERION], "threshold": [0.5, 0.6, 0.7, 0.8]},
          "catalog: unknown key(s) 'threshold'"),
         ([{**ONE_CRITERION, "alpha": 0.01}],
-         "criterion 1.1.1: unknown key(s) 'alpha'"),
+         "criterion '1.1.1': unknown key(s) 'alpha'"),
     ])
     def test_unknown_catalog_key_exit_1(self, capsys, tmp_path, fixture_pair,
                                         doc, message):
@@ -496,7 +496,7 @@ class TestConfigErrors:
                              [{**ONE_CRITERION, "frames": "visual"}])
         code, out, err = run(capsys, "score", "--catalog", catalog,
                              "--page", *fixture_pair)
-        assert (code, out, err) == (1, "", "error: criterion 1.1.1: frames "
+        assert (code, out, err) == (1, "", "error: criterion '1.1.1': frames "
                                            "must be an array, got 'visual'\n")
 
     @pytest.mark.parametrize("name, cid, message", [
@@ -546,7 +546,7 @@ class TestConfigErrors:
         code, out, err = run(capsys, "score", "--page", path)
         assert (code, out) == (1, "")
         assert err.startswith(
-            f"error: {path}: criterion 1.1.1: n_ok is above 2**53")
+            f"error: {path}: criterion '1.1.1': n_ok is above 2**53")
         assert len(err.splitlines()) == 1
 
     def test_non_utf8_report_exit_1(self, capsys, tmp_path):
@@ -702,8 +702,25 @@ class TestStderrLines:
         code, out, err = run(capsys, "score", "--page", path)
         assert (code, out) == (1, "")
         [line] = stderr_lines(err)
+        # the id is quoted through repr(), whose escapes are printable
         assert line.startswith(f"error: {path.replace(RAW, SHOWN)}: "
-                               f"criterion 1.1.1{SHOWN}X: ")
+                               f"criterion {f'1.1.1{RAW}X'!r}: ")
+
+    def test_ids_that_print_alike_stay_apart(self, capsys, tmp_path):
+        # the 10 characters 1.1.1\x0aX and an id holding a newline once
+        # gave the same error line
+        lines = []
+        for name, cid in (("escape.json", "1.1.1\\x0aX"),
+                          ("newline.json", "1.1.1\nX")):
+            path = self.report(tmp_path, name, cid, n_err=5, t_err=2)
+            code, out, err = run(capsys, "score", "--page", path)
+            assert (code, out) == (1, "")
+            lines += stderr_lines(err)
+        assert lines == [
+            f"error: {tmp_path / name}: criterion {cid}: 5 errors observed "
+            f"but only 2 applicable tests"
+            for name, cid in (("escape.json", "'1.1.1\\\\x0aX'"),
+                              ("newline.json", "'1.1.1\\nX'"))]
 
     def test_missing_report_error(self, capsys, tmp_path):
         path = str(tmp_path / f"a{RAW}b" / "missing.json")
@@ -719,7 +736,7 @@ class TestStderrLines:
                              "--page", *fixture_pair)
         assert (code, out) == (1, "")
         assert stderr_lines(err) == [
-            f"error: criterion c1{SHOWN}X belongs to no frame"]
+            f"error: criterion {f'c1{RAW}X'!r} belongs to no frame"]
 
     def test_fixtures_error(self, capsys, tmp_path):
         blocker = tmp_path / f"a{RAW}b"

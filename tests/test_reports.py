@@ -169,7 +169,7 @@ class TestParse:
                 parse_report(report_doc(entries, total=wrong))
 
     def test_skipped_criterion_counts_are_validated(self):
-        with pytest.raises(CountInconsistency, match="criterion 9.9.9"):
+        with pytest.raises(CountInconsistency, match="criterion '9.9.9'"):
             parse_report(report_doc([obs("9.9.9", n_err=3, t_err=1)]))
         with pytest.raises(SchemaError, match="duplicate"):
             parse_report(report_doc([obs("9.9.9"), obs("9.9.9")]))
@@ -179,7 +179,7 @@ class TestUnknownKeys:
     def test_misspelled_observation_key(self):
         doc = report_doc([{"criterion": "1.1.1", "n_errs": 5, "t_err": 5,
                            "n_ok": 1}])
-        with pytest.raises(SchemaError, match="criterion 1.1.1: .*'n_errs'"):
+        with pytest.raises(SchemaError, match="criterion '1.1.1': .*'n_errs'"):
             parse_report(doc)
 
     def test_observation_key_rejected_even_when_criterion_skipped(self):
@@ -259,17 +259,17 @@ def count_fault(cid, counts):
     full = [counts.get(key, 0) for key in OBS_KEYS]
     for key, v in zip(OBS_KEYS, full):
         if type(v) is not int or v < 0:
-            return SchemaError, (f"criterion {cid}: {key} must be a "
+            return SchemaError, (f"criterion {cid!r}: {key} must be a "
                                  f"non-negative integer, got {v!r}")
         if v > 2 ** 53:
-            return SchemaError, (f"criterion {cid}: {key} is above 2**53, "
+            return SchemaError, (f"criterion {cid!r}: {key} is above 2**53, "
                                  f"the largest exact float count")
     n_err, _, n_likely, n_potential, t_err, t_likely, t_potential = full
     for n, t, label in ((n_err, t_err, "errors"),
                         (n_likely, t_likely, "likely problems"),
                         (n_potential, t_potential, "potential problems")):
         if n > t:
-            return CountInconsistency, (f"criterion {cid}: {n} {label} "
+            return CountInconsistency, (f"criterion {cid!r}: {n} {label} "
                                         f"observed but only {t} applicable "
                                         f"tests")
     return None

@@ -240,7 +240,7 @@ class TestLoading:
         # an object once loaded as its keys, so 1.1.1 sat in the motor
         # frame, and a string failed on its first letter
         with pytest.raises(SchemaError, match=(
-                "^criterion 1.1.1: frames must be an array, got ")):
+                "^criterion '1.1.1': frames must be an array, got ")):
             load_config([{"id": "1.1.1", "level": "A", "frames": frames}])
 
     def test_frames_as_a_tuple_in_a_parsed_document(self):
@@ -300,11 +300,11 @@ class TestCriterionSpec:
 
     def test_global_is_no_catalog_frame(self):
         for frames in ({GLOBAL}, {DeficiencyFrame.VISUAL, GLOBAL}):
-            with pytest.raises(SchemaError, match="^criterion c1: "):
+            with pytest.raises(SchemaError, match="^criterion 'c1': "):
                 CriterionSpec("c1", ConformanceLevel.A, frozenset(frames),
                               1.0)
         with pytest.raises(SchemaError,
-                           match="^criterion c1 belongs to no frame$"):
+                           match="^criterion 'c1' belongs to no frame$"):
             CriterionSpec("c1", ConformanceLevel.A, frozenset(), 1.0)
 
     def test_weight_range(self):
