@@ -15,7 +15,7 @@ from collections import namedtuple
 from typing import Dict, Optional
 
 from .errors import CountInconsistency, SchemaError
-from .wcag import WeightConfig, _unknown_keys, load_config
+from .wcag import WeightConfig, _decode_json, _unknown_keys, load_config
 
 FIXTURE_KINDS = ("balanced", "error-heavy", "potential-heavy")
 
@@ -23,7 +23,7 @@ FIXTURE_KINDS = ("balanced", "error-heavy", "potential-heavy")
 class AssessorProfile(namedtuple(
         "AssessorProfile", "name beta_err beta_likely beta_potential delta")):
     """Identity and trust parameters of one automatic assessor; omitted
-    parameters take WeightConfig's class constants. The name is a string;
+    parameters take WeightConfig's class constants. The name is UTF-8 text;
     each parameter an int or float (not a bool) in [0, 1], stored as float."""
 
     __slots__ = ()
@@ -36,6 +36,7 @@ class AssessorProfile(namedtuple(
             raise SchemaError("assessor name must be non-empty")
         if not isinstance(name, str):
             raise SchemaError(f"assessor name must be a string, got {name!r}")
+        _check_text("assessor name", name)
         values = (beta_err, beta_likely, beta_potential, delta)
         for label, v in zip(_PROFILE_KEYS, values):
             if type(v) not in (int, float) or not 0.0 <= v <= 1.0:
@@ -46,11 +47,21 @@ class AssessorProfile(namedtuple(
 _PROFILE_KEYS = AssessorProfile._fields[1:]
 
 
+def _check_text(label: str, text: str) -> None:
+    """Raise unless text is a non-empty str that encodes as UTF-8."""
+    if not isinstance(text, str) or not text:
+        raise SchemaError(f"{label} must be a non-empty string")
+    try:  # a lone surrogate, which JSON's \u escapes can spell
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise SchemaError(f"{label} is not Unicode text: {text!r}") from None
+
+
 class CriterionObservation(namedtuple(
         "CriterionObservation", "criterion_id n_err n_ok n_likely "
         "n_potential t_err t_likely t_potential")):
-    """One assessor's counts for one criterion. Every count must be an int
-    (not a bool) in [0, 2**53], so that it converts to a float exactly."""
+    """One assessor's counts for one criterion; the id a str that survives
+    JSON, each count an int (not a bool) in [0, 2**53], exact as a float."""
 
     __slots__ = ()
 
@@ -71,14 +82,19 @@ _OBS_KEYS = CriterionObservation._fields[1:]
 
 
 def _check_counts(criterion_id: str, counts: tuple) -> None:
-    """Raise the first fault of the seven counts, in _OBS_KEYS order."""
+    """Raise the id's fault, else the counts' first, in _OBS_KEYS order."""
     n_err, n_ok, n_likely, n_potential, t_err, t_likely, t_potential = counts
-    if (type(n_err) is type(n_ok) is type(n_likely) is type(n_potential)
-            is type(t_err) is type(t_likely) is type(t_potential) is int
+    if (type(criterion_id) is str and criterion_id.isascii() and type(n_err)
+            is type(n_ok) is type(n_likely) is type(n_potential) is type(t_err)
+            is type(t_likely) is type(t_potential) is int
             and 0 <= n_ok <= 2 ** 53 and 0 <= n_err <= t_err <= 2 ** 53
             and 0 <= n_likely <= t_likely <= 2 ** 53
             and 0 <= n_potential <= t_potential <= 2 ** 53):
         return
+    if not isinstance(criterion_id, str):
+        raise SchemaError(f"criterion must be a string, got {criterion_id!r}")
+    if json.loads(json.dumps(criterion_id)) != criterion_id:
+        raise SchemaError(f"criterion {criterion_id!r}: split surrogate pair")
     for key, v in zip(_OBS_KEYS, counts):
         if type(v) is not int or v < 0:
             raise SchemaError(f"criterion {criterion_id!r}: {key} must be "
@@ -102,13 +118,14 @@ _REPORT_KEYS = frozenset(("assessor", "url", "observations", "total_tests"))
 
 class AssessorReport(namedtuple(
         "AssessorReport", "profile url observations total_tests")):
-    """One assessor's validated evaluation of one page. total_tests, the
-    tests run summed over all observations, is computed, not passed."""
+    """One assessor's evaluation of one page, its url non-empty UTF-8 text.
+    total_tests, summed over all observations, is computed, not passed."""
 
     __slots__ = ()
 
     def __new__(cls, profile: AssessorProfile, url: str,
                 observations: Optional[Dict[str, CriterionObservation]] = None):
+        _check_text("url", url)
         if observations is None:
             observations = {}
         for cid, obs in observations.items():
@@ -124,19 +141,14 @@ def parse_report(document) -> AssessorReport:
     parsed dict). Any top-level key beyond "assessor", "url",
     "observations" and "total_tests", any key beyond "name" and the four
     coefficients in the assessor block, or beyond "criterion" and the seven
-    counts in an observation, is a SchemaError. So is a url or assessor
-    name that does not encode as UTF-8: one holding a lone surrogate.
+    counts in an observation, is a SchemaError; so is any value that
+    AssessorProfile, CriterionObservation or AssessorReport rejects.
 
     A stored total_tests field must match the tests run summed over every
     observation entry (corruption guard), or be absent.
     """
     if isinstance(document, (str, bytes)):
-        try:
-            document = json.loads(document.decode("utf-8")
-                                  if isinstance(document, bytes) else document)
-        except (ValueError, RecursionError) as exc:  # bad, too deep, not UTF-8
-            raise SchemaError(f"report is not valid UTF-8 JSON: {exc}") \
-                from exc
+        document = _decode_json(document, "report")
     if not isinstance(document, dict):
         raise SchemaError("report must be a JSON object")
     if not _REPORT_KEYS.issuperset(document):
@@ -148,8 +160,7 @@ def parse_report(document) -> AssessorReport:
         raw_obs = document["observations"]
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"report lacks required field: {exc}") from exc
-    if not isinstance(url, str) or not url:
-        raise SchemaError("url must be a non-empty string")
+    _check_text("url", url)
     if not isinstance(raw_obs, list):
         raise SchemaError("observations must be an array")
 
@@ -158,12 +169,6 @@ def parse_report(document) -> AssessorReport:
     if not _ASSESSOR_KEYS.issuperset(assessor):
         raise _unknown_keys("assessor block", assessor, _ASSESSOR_KEYS)
     profile = AssessorProfile(**assessor)
-    for label, text in (("url", url), ("assessor name", profile.name)):
-        try:  # a lone surrogate, which JSON's \u escapes can spell
-            text.encode("utf-8")
-        except UnicodeEncodeError:
-            raise SchemaError(f"{label} is not Unicode text: {text!r}") \
-                from None
 
     observations: Dict[str, CriterionObservation] = {}
     total = 0
@@ -171,17 +176,15 @@ def parse_report(document) -> AssessorReport:
         if not isinstance(entry, dict) or "criterion" not in entry:
             raise SchemaError(f"bad observation entry: {entry!r}")
         cid = entry["criterion"]
-        if not isinstance(cid, str):
-            raise SchemaError(f"criterion must be a string, got {cid!r}")
         if not _ENTRY_KEYS.issuperset(entry):
             raise _unknown_keys(f"criterion {cid!r}", entry, _ENTRY_KEYS)
-        if cid in observations:
-            raise SchemaError(f"duplicate observation for criterion {cid!r}")
         get = entry.get
         counts = (get("n_err", 0), get("n_ok", 0), get("n_likely", 0),
                   get("n_potential", 0), get("t_err", 0), get("t_likely", 0),
                   get("t_potential", 0))
-        _check_counts(cid, counts)
+        _check_counts(cid, counts)  # first: a non-str id may be unhashable
+        if cid in observations:
+            raise SchemaError(f"duplicate observation for criterion {cid!r}")
         observations[cid] = tuple.__new__(CriterionObservation, (cid, *counts))
         total += sum(counts[:4])  # n_err + n_ok + n_likely + n_potential
 

@@ -56,7 +56,7 @@ def resolve_frame(name: str) -> DeficiencyFrame:
 class WeightConfig(namedtuple(
         "WeightConfig", "alpha_a alpha_aa alpha_aaa s1 s2 s3 s4",
         defaults=(1.0, 0.8, 0.6, 0.6, 0.7, 0.8, 0.9))):
-    """Conformance-level weights and the four discretization thresholds.
+    """Level weights and the four discretization thresholds, stored as floats.
     The class constants are the certainty coefficients and reliability an
     assessor report falls back to when its assessor block omits them."""
 
@@ -65,12 +65,16 @@ class WeightConfig(namedtuple(
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
+        for v in self:
+            if type(v) not in (int, float):
+                raise SchemaError(f"weights and thresholds must be numbers, "
+                                  f"got {v!r}")
         if not 0.0 < self.alpha_aaa <= self.alpha_aa <= self.alpha_a <= 1.0:
             raise SchemaError("level weights must satisfy "
                               "0 < alpha_aaa <= alpha_aa <= alpha_a <= 1")
         if not 0.0 < self.s1 < self.s2 < self.s3 < self.s4 < 1.0:
             raise SchemaError("thresholds must satisfy 0 < s1 < s2 < s3 < s4 < 1")
-        return self
+        return tuple.__new__(cls, map(float, self))  # in range: no overflow
 
     @property
     def thresholds(self) -> tuple:
@@ -91,6 +95,8 @@ class CriterionSpec(namedtuple("CriterionSpec", "id level frames alpha")):
 
     def __new__(cls, id: str, level: ConformanceLevel,
                 frames: FrozenSet[DeficiencyFrame], alpha: float):
+        if not isinstance(id, str):
+            raise SchemaError(f"catalog id must be a string, got {id!r}")
         if not frames:
             raise SchemaError(f"criterion {id!r} belongs to no frame")
         if GLOBAL in frames:
@@ -137,8 +143,6 @@ def _build_catalog(entries: Iterable[dict], w: WeightConfig) -> Mapping:
     for entry in entries:
         try:
             cid = entry["id"]
-            if not isinstance(cid, str):
-                raise SchemaError(f"catalog id must be a string, got {cid!r}")
             level = ConformanceLevel(entry["level"])
             frames = entry["frames"]
             if not isinstance(frames, (list, tuple)):
@@ -149,23 +153,25 @@ def _build_catalog(entries: Iterable[dict], w: WeightConfig) -> Mapping:
             raise SchemaError(f"bad catalog entry {entry!r}: {exc}") from exc
         if not _CRITERION_KEYS.issuperset(entry):
             raise _unknown_keys(f"criterion {cid!r}", entry, _CRITERION_KEYS)
-        if cid in criteria:
+        spec = CriterionSpec(cid, level, frames, alpha_for(level, w))
+        if criteria.setdefault(cid, spec) is not spec:
             raise SchemaError(f"duplicate criterion id {cid!r}")
-        criteria[cid] = CriterionSpec(cid, level, frames, alpha_for(level, w))
     return MappingProxyType(criteria)
 
 
-def _read_json(path: Union[str, Path], what: str):
+def _decode_json(document: Union[str, bytes], what: str):
+    """Parse JSON text or UTF-8 bytes; a fault raises SchemaError."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(document.decode("utf-8")
+                          if isinstance(document, bytes) else document)
     except (ValueError, RecursionError) as exc:  # bad, too deep, not UTF-8
         raise SchemaError(f"{what} is not valid UTF-8 JSON: {exc}") from exc
 
 
 def _weights_from_json(doc: dict, base: WeightConfig) -> WeightConfig:
     """Apply the level weights under "weights" and the "thresholds" list of
-    a catalog object or weights file; any other weights key, and any value
-    that is not an int or float (a bool is not), is rejected."""
+    a catalog object or weights file; any other weights key is rejected,
+    and WeightConfig checks the values."""
     weights = doc.get("weights", {})
     if not isinstance(weights, dict) or not set(weights) <= set(_WEIGHT_KEYS):
         raise SchemaError(f"'weights' must be an object with keys among "
@@ -177,14 +183,9 @@ def _weights_from_json(doc: dict, base: WeightConfig) -> WeightConfig:
     kwargs = {attr: weights[key]
               for key, attr in _WEIGHT_KEYS.items() if key in weights}
     kwargs.update(zip(("s1", "s2", "s3", "s4"), ts))
-    for v in kwargs.values():
-        if type(v) not in (int, float):
-            raise SchemaError(f"weights and thresholds must be numbers, "
-                              f"got {v!r}")
     if not kwargs:
         return base
-    return WeightConfig(**{**base._asdict(),
-                           **{k: float(v) for k, v in kwargs.items()}})
+    return WeightConfig(**{**base._asdict(), **kwargs})
 
 
 def load_config(catalog: Union[str, Path, dict, list, None] = None,
@@ -201,7 +202,8 @@ def load_config(catalog: Union[str, Path, dict, list, None] = None,
     from criterion id to CriterionSpec; bad content raises SchemaError.
     """
     if catalog is None or isinstance(catalog, (str, Path)):
-        catalog = _read_json(catalog or _PACKAGED, "catalog")
+        catalog = _decode_json(Path(catalog or _PACKAGED).read_bytes(),
+                               "catalog")
     w = WeightConfig()
     if isinstance(catalog, dict):
         if not _CATALOG_KEYS.issuperset(catalog):
@@ -215,7 +217,7 @@ def load_config(catalog: Union[str, Path, dict, list, None] = None,
     else:
         raise SchemaError("catalog must be a JSON array or object")
     if weights:
-        doc = _read_json(weights, "weights file")
+        doc = _decode_json(Path(weights).read_bytes(), "weights file")
         if not isinstance(doc, dict) or \
                 not set(doc) <= {"weights", "thresholds"}:
             raise SchemaError("weights file must be an object with keys "

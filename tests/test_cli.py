@@ -1,10 +1,13 @@
 import contextlib
+import copy
+import io
 import json
 import os
 import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import a11yfuse
 from a11yfuse.cli import main
@@ -426,6 +429,8 @@ class TestConfigErrors:
         {"criteria": []},
         {"weights": {"a": 0.5, "aa": 0.9}},
         {"thresholds": [0.9, 0.8, 0.7, 0.6]},
+        {"weights": {"a": 10 ** 400}},  # once an OverflowError traceback
+        {"thresholds": [0.6, 0.7, 0.8, 10 ** 400]},
     ])
     def test_bad_weights_file_exit_1(self, capsys, tmp_path, fixture_pair,
                                      doc):
@@ -458,7 +463,7 @@ class TestConfigErrors:
          "catalog: unknown key(s) 'threshold'"),
         ([{**ONE_CRITERION, "alpha": 0.01}],
          "criterion '1.1.1': unknown key(s) 'alpha'"),
-    ])
+    ], ids=["catalog", "criterion"])
     def test_unknown_catalog_key_exit_1(self, capsys, tmp_path, fixture_pair,
                                         doc, message):
         path = write_json(tmp_path / "catalog.json", doc)
@@ -504,7 +509,7 @@ class TestConfigErrors:
         (["tool"], "1.1.1", "assessor name must be a string, got ['tool']"),
         ("t", 1.1, "criterion must be a string, got 1.1"),
         ("t", 7, "criterion must be a string, got 7"),
-    ])
+    ], ids=["name-null", "name-list", "id-float", "id-int"])
     def test_report_names_and_ids_must_be_strings_exit_1(
             self, capsys, tmp_path, fixture_pair, name, cid, message):
         # a null name once scored as assessor "None", and 1.1 as "1.1"
@@ -930,3 +935,115 @@ class TestFixturesCommand:
         assert main(["fixtures", "--seed", "1", "--count", "0",
                      "--out", str(out)]) == 0
         assert list(out.iterdir()) == []
+
+
+# JSON values at the edges: too large for a float, not finite, lone
+# surrogates, bools, empty and nested containers
+ODD_VALUES = st.one_of(
+    st.sampled_from([10 ** 400, -10 ** 400, float("nan"), float("inf"),
+                     float("-inf"), "\ud800", "t\udc80", True, False, None,
+                     0, -1, 1, 0.5, 2 ** 53 + 1, "", "A", "visual", "global",
+                     "1.1.1", [], {}, ["visual", "global"], {"a": 1}]),
+    st.integers(), st.floats(), st.text(max_size=3),
+    st.lists(st.integers(0, 3), max_size=3))
+KEYS = st.sampled_from(["criterion", "n_ok", "n_err", "t_err", "name",
+                        "delta", "url", "observations", "total_tests", "id",
+                        "level", "frames", "criteria", "weights",
+                        "thresholds", "a", "aaa", "x"])
+ARGV = st.sampled_from([
+    ("score", "--format", "json"), ("score", "--format", "table"),
+    ("score", "--format", "tsv", "--ascii"),
+    *[("explain", "--frame", f.value) for f in DeficiencyFrame]])
+
+
+def _edit(data, doc) -> None:
+    """Set, delete or add one key or item of a container somewhere in
+    doc."""
+    node = doc
+    while True:
+        inner = [c for c in (node.values() if isinstance(node, dict)
+                             else node) if isinstance(c, (dict, list))]
+        if not inner or data.draw(st.integers(0, 2)) == 0:
+            break
+        node = data.draw(st.sampled_from(inner))
+    keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+    action = data.draw(st.sampled_from(("set", "delete", "add") if keys
+                                       else ("add",)))
+    value = copy.deepcopy(data.draw(ODD_VALUES))  # the constants stay intact
+    if action == "add" and isinstance(node, list):
+        node.append(value)
+    elif action == "add":
+        node[data.draw(KEYS)] = value
+    elif action == "set":
+        node[data.draw(st.sampled_from(keys))] = value
+    else:
+        del node[data.draw(st.sampled_from(keys))]
+
+
+def _damage(data, text: bytes) -> bytes:
+    """text as it is, truncated, or with bytes that are not UTF-8."""
+    how = data.draw(st.sampled_from(("keep",) * 4 +
+                                    ("truncate", "not-utf8")))
+    if how == "truncate":
+        return text[:data.draw(st.integers(0, len(text) - 1))]
+    if how == "not-utf8":
+        i = data.draw(st.integers(0, len(text)))
+        bad = data.draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"]))
+        return text[:i] + bad + text[i:]
+    return text
+
+
+class TestNoTraceback:
+    """Whatever a report, catalog or weights file holds, the CLI exits 0
+    or 1 with one printable `error:` or `warning:` line per fault, and a
+    group that fails writes nothing on stdout."""
+
+    def test_mutated_input(self, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("mutated")
+        good = write_pages(directory, (7,))[0]
+        sources = {
+            "report": json.loads(Path(good[0]).read_text(encoding="utf-8")),
+            "catalog": json.loads((Path(a11yfuse.__file__).parent / "data" /
+                                   "wcag20_criteria.json").read_text(
+                                       encoding="utf-8")),
+            "weights": {"weights": {"a": 1.0, "aa": 0.8, "aaa": 0.6},
+                        "thresholds": [0.6, 0.7, 0.8, 0.9]}}
+        bad = directory / "bad.json"
+        alone = {}  # argv: the output of the good page by itself
+
+        def cli(*argv):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = main(list(argv))
+            return code, out.getvalue(), err.getvalue()
+
+        @settings(max_examples=120, deadline=None)
+        @given(st.sampled_from(sorted(sources)), ARGV, st.data())
+        def check(target, argv, data):
+            doc = copy.deepcopy(sources[target])
+            for _ in range(data.draw(st.integers(1, 3))):
+                _edit(data, doc)
+            bad.write_bytes(_damage(data, json.dumps(doc).encode()))
+            if target == "report":  # the bad group, then the good page
+                code, out, err = cli(*argv, "--page", str(bad), good[1],
+                                     "--page", *good)
+            else:
+                code, out, err = cli(*argv, f"--{target}", str(bad),
+                                     "--page", *good)
+            assert code in (0, 1)
+            lines = err.split("\n")
+            assert lines.pop() == ""
+            for line in lines:
+                assert line.isprintable()
+                assert line.startswith(("error: ", "warning: "))
+            failed = [line for line in lines if line.startswith("error: ")
+                      and not line.startswith("error: total conflict: ")]
+            if target != "report":
+                assert not failed or out == ""
+            elif any(line.startswith(f"error: {bad}: ") for line in failed):
+                if argv not in alone:
+                    alone[argv] = cli(*argv, "--page", *good)[1]
+                assert out == alone[argv]
+
+        check()

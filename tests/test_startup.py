@@ -29,6 +29,7 @@ from a11yfuse.reports import (
     AssessorProfile,
     AssessorReport,
     CriterionObservation,
+    parse_report,
 )
 from a11yfuse.wcag import (
     ConformanceLevel,
@@ -122,6 +123,68 @@ INVALID = [
 def test_invalid_fields_raise(build, error):
     with pytest.raises(error):
         build()
+
+
+def _report(name="t", url="u", criterion="1.1.1"):
+    return {"assessor": {"name": name}, "url": url,
+            "observations": [{"criterion": criterion, "n_ok": 1}]}
+
+
+VISUAL = frozenset({DeficiencyFrame.VISUAL})
+# each constructor call, and the document its loader reads the same value
+# from: both must raise the same SchemaError
+SAME_AS_LOADER = {
+    "url-surrogate": (
+        lambda: AssessorReport(AssessorProfile("t"), "https://x.test/\ud800"),
+        lambda: parse_report(_report(url="https://x.test/\ud800"))),
+    "url-empty": (lambda: AssessorReport(AssessorProfile("t"), ""),
+                  lambda: parse_report(_report(url=""))),
+    "url-int": (lambda: AssessorReport(AssessorProfile("t"), 5),
+                lambda: parse_report(_report(url=5))),
+    "name-surrogate": (lambda: AssessorProfile("t\udc80"),
+                       lambda: parse_report(_report(name="t\udc80"))),
+    "id-int": (lambda: CriterionObservation(5, n_ok=1),
+               lambda: parse_report(_report(criterion=5))),
+    "id-list": (lambda: CriterionObservation(["1.1.1"], n_ok=1),
+                lambda: parse_report(_report(criterion=["1.1.1"]))),
+    "id-split-pair": (  # JSON would read the pair back as one character
+        lambda: CriterionObservation("\ud800\udfff", n_ok=1),
+        lambda: parse_report(_report(criterion="\ud800\udfff"))),
+    "threshold-str": (
+        lambda: WeightConfig(s1="0.5"),
+        lambda: load_config({"criteria": [],
+                             "thresholds": ["0.5", 0.7, 0.8, 0.9]})),
+    "weight-bool": (lambda: WeightConfig(alpha_a=True),
+                    lambda: load_config({"criteria": [],
+                                         "weights": {"a": True}})),
+    "weight-huge": (lambda: WeightConfig(alpha_a=10 ** 400),
+                    lambda: load_config({"criteria": [],
+                                         "weights": {"a": 10 ** 400}})),
+    "catalog-id-int": (
+        lambda: CriterionSpec(5, ConformanceLevel.A, VISUAL, 1.0),
+        lambda: load_config([{"id": 5, "level": "A",
+                              "frames": ["visual"]}])),
+}
+
+
+@pytest.mark.parametrize("build, load", SAME_AS_LOADER.values(),
+                         ids=SAME_AS_LOADER.keys())
+def test_constructor_rejects_what_its_loader_rejects(build, load):
+    with pytest.raises(SchemaError) as loaded:
+        load()
+    with pytest.raises(SchemaError) as built:
+        build()
+    assert str(built.value) == str(loaded.value)
+
+
+def test_weights_are_stored_as_floats():
+    ints = {"alpha_a": 1, "alpha_aa": 1, "alpha_aaa": 1}
+    w = load_config({"criteria": [], "weights": {"a": 1, "aa": 1, "aaa": 1},
+                     "thresholds": [0.1, 0.2, 0.3, 0.4]})[1]
+    assert w == WeightConfig(**ints, s1=0.1, s2=0.2, s3=0.3, s4=0.4) == \
+        (1.0, 1.0, 1.0, 0.1, 0.2, 0.3, 0.4)
+    for built in (w, WeightConfig(**ints)):
+        assert {type(v) for v in built} == {float}
 
 
 def test_keyword_construction_keeps_defaults():
