@@ -32,20 +32,13 @@ class MassFunction(namedtuple("MassFunction", "ac nac omega empty")):
     __slots__ = ()
 
     def __new__(cls, ac: float, nac: float, omega: float, empty: float = 0.0):
-        for name, v in (("ac", ac), ("nac", nac),
-                        ("omega", omega), ("empty", empty)):
+        for name, v in zip(cls._fields, (ac, nac, omega, empty)):
             if v < -NEG_TOL or v > 1.0 + NORM_TOL:
                 raise NegativeMass(f"mass component {name}={v} outside [0, 1]")
         s = ac + nac + omega + empty
         if abs(s - 1.0) > NORM_TOL:
             raise NotNormalized(f"mass components sum to {s}, expected 1")
         return tuple.__new__(cls, (ac, nac, omega, empty))
-
-    def isclose(self, other: "MassFunction", tol: float = NORM_TOL) -> bool:
-        return (abs(self.ac - other.ac) <= tol
-                and abs(self.nac - other.nac) <= tol
-                and abs(self.omega - other.omega) <= tol
-                and abs(self.empty - other.empty) <= tol)
 
 
 # unchecked, for results of checked inputs; tests/test_belief.py shows why

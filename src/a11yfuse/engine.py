@@ -21,6 +21,7 @@ from .wcag import (
     FRAMES,
     DeficiencyFrame,
     WeightConfig,
+    alpha_for,
     criteria_in_frame,
     resolve_frame,
 )
@@ -88,9 +89,11 @@ class FrameDecision(namedtuple(
 
 
 def estimate_parts(report: AssessorReport, frame: DeficiencyFrame,
-                   catalog: Mapping, tested: int) -> EstimationParts:
+                   catalog: Mapping, w: WeightConfig,
+                   tested: int) -> EstimationParts:
     """Evidence sums for one frame, with numerators and denominators split
     out; .triple() divides them, a zero denominator giving a zero term.
+    Each criterion's counts are weighed by w's weight for its level.
 
     Correct checkpoints are normalized by `tested`, the assessor's total
     test count over every observation the catalog holds, in all frames;
@@ -99,6 +102,7 @@ def estimate_parts(report: AssessorReport, frame: DeficiencyFrame,
     criteria_in_frame returns contribute.
     """
     frame_ids = criteria_in_frame(catalog, frame)
+    alphas = alpha_for(w)
     _, beta_err, beta_likely, beta_potential, _ = report.profile
     num_ac = num_nac = num_omega = 0.0
     den_nac = den_omega = 0
@@ -109,7 +113,8 @@ def estimate_parts(report: AssessorReport, frame: DeficiencyFrame,
             continue
         _, n_err, n_ok, n_likely, n_potential, t_err, t_likely, \
             t_potential = obs
-        _, _, _, alpha = catalog[cid]
+        _, level, _ = catalog[cid]
+        alpha = alphas[level]
         num_ac += n_ok * alpha
         num_nac += n_err * alpha * beta_err
         den_nac += t_err
@@ -183,7 +188,7 @@ def score_page(reports: Iterable[AssessorReport], catalog: Mapping,
     for frame in frames:
         sources = []
         for name, delta, report, tested in named:
-            parts = estimate_parts(report, frame, catalog, tested)
+            parts = estimate_parts(report, frame, catalog, w, tested)
             m = masses_from_estimates(parts.triple())
             sources.append(SourceResult(name, delta, parts, m,
                                         belief.discount(m, delta)))

@@ -118,17 +118,25 @@ _REPORT_KEYS = frozenset(("assessor", "url", "observations", "total_tests"))
 
 class AssessorReport(namedtuple(
         "AssessorReport", "profile url observations total_tests")):
-    """One assessor's evaluation of one page, its url non-empty UTF-8 text.
-    total_tests, summed over all observations, is computed, not passed."""
+    """One assessor's evaluation of one page: an AssessorProfile, a url of
+    non-empty UTF-8 text and a dict from criterion id to its
+    CriterionObservation. total_tests, summed over all observations, is
+    computed, not passed."""
 
     __slots__ = ()
 
     def __new__(cls, profile: AssessorProfile, url: str,
                 observations: Optional[Dict[str, CriterionObservation]] = None):
+        if not isinstance(profile, AssessorProfile):
+            raise SchemaError(f"not an AssessorProfile: {profile!r}")
         _check_text("url", url)
         if observations is None:
             observations = {}
+        if not isinstance(observations, dict):
+            raise SchemaError(f"not a dict of observations: {observations!r}")
         for cid, obs in observations.items():
+            if not isinstance(obs, CriterionObservation):
+                raise SchemaError(f"not a CriterionObservation: {obs!r}")
             if cid != obs.criterion_id:
                 raise SchemaError(f"observation keyed {cid!r} carries "
                                   f"criterion id {obs.criterion_id!r}")
@@ -155,10 +163,9 @@ def parse_report(document) -> AssessorReport:
         raise _unknown_keys("report", document, _REPORT_KEYS)
 
     try:
-        assessor = document["assessor"]
-        url = document["url"]
-        raw_obs = document["observations"]
-    except (KeyError, TypeError) as exc:
+        assessor, url, raw_obs = (document["assessor"], document["url"],
+                                  document["observations"])
+    except KeyError as exc:
         raise SchemaError(f"report lacks required field: {exc}") from exc
     _check_text("url", url)
     if not isinstance(raw_obs, list):
@@ -265,7 +272,7 @@ def generate_fixture(seed: int, profile_kind: str = "balanced") -> str:
     rng = random.Random(f"{profile_kind}:{seed}")
     chosen = sorted(rng.sample(_packaged_ids(), k=rng.randint(18, 32)))
 
-    constant_t_potential = rng.randint(3, 7)
+    fixed_t_potential = rng.randint(3, 7)
     observations = {}
     for cid in chosen:
         t_err = rng.randint(1, 10)
@@ -273,17 +280,12 @@ def generate_fixture(seed: int, profile_kind: str = "balanced") -> str:
             n_err = rng.randint(0, t_err)
             t_likely = rng.randint(0, 2)
             n_likely = 0
-            t_potential = rng.randint(0, 6)
-        elif profile_kind == "potential-heavy":
-            n_err = rng.randint(0, max(1, t_err // 2))
-            t_likely = rng.randint(0, 5)
-            n_likely = rng.randint(0, t_likely)
-            t_potential = constant_t_potential
         else:
             n_err = rng.randint(0, max(1, t_err // 2))
             t_likely = rng.randint(0, 5)
             n_likely = rng.randint(0, t_likely)
-            t_potential = rng.randint(0, 6)
+        t_potential = (fixed_t_potential if profile_kind == "potential-heavy"
+                       else rng.randint(0, 6))
         n_potential = rng.randint(0, t_potential)
         n_ok = rng.randint(t_err - n_err, t_err - n_err + 8)
         observations[cid] = CriterionObservation(

@@ -13,12 +13,12 @@ from collections import namedtuple
 from enum import Enum
 from pathlib import Path
 from types import MappingProxyType
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Union
+from typing import Collection, Dict, Iterable, Mapping, Optional, Union
 
 from .errors import SchemaError, UnknownFrame
 
 
-class ConformanceLevel(Enum):
+class ConformanceLevel(str, Enum):
     A = "A"
     AA = "AA"
     AAA = "AAA"
@@ -76,34 +76,35 @@ class WeightConfig(namedtuple(
             raise SchemaError("thresholds must satisfy 0 < s1 < s2 < s3 < s4 < 1")
         return tuple.__new__(cls, map(float, self))  # in range: no overflow
 
-    @property
-    def thresholds(self) -> tuple:
-        return (self.s1, self.s2, self.s3, self.s4)
+
+def alpha_for(w: WeightConfig) -> Dict[str, float]:
+    """The weight of each conformance level under w, keyed by the level,
+    which a ConformanceLevel member indexes too."""
+    return {"A": w.alpha_a, "AA": w.alpha_aa, "AAA": w.alpha_aaa}
 
 
-def alpha_for(level: ConformanceLevel, w: WeightConfig) -> float:
-    """Weight attached to a criterion's conformance level."""
-    return {ConformanceLevel.A: w.alpha_a,
-            ConformanceLevel.AA: w.alpha_aa,
-            ConformanceLevel.AAA: w.alpha_aaa}[level]
-
-
-class CriterionSpec(namedtuple("CriterionSpec", "id level frames alpha")):
-    """One WCAG success criterion and its frame memberships."""
+class CriterionSpec(namedtuple("CriterionSpec", "id level frames")):
+    """One WCAG success criterion: its conformance level and the collection
+    of deficiency frames it serves, each given as a member or its name."""
 
     __slots__ = ()
 
-    def __new__(cls, id: str, level: ConformanceLevel,
-                frames: FrozenSet[DeficiencyFrame], alpha: float):
+    def __new__(cls, id: str, level: str, frames: Collection[str]):
         if not isinstance(id, str):
             raise SchemaError(f"catalog id must be a string, got {id!r}")
+        if not isinstance(frames, (list, tuple, set, frozenset)):
+            raise SchemaError(f"criterion {id!r}: frames must be an "
+                              f"array, got {frames!r}")
+        try:
+            level = ConformanceLevel(level)
+            frames = frozenset(map(DeficiencyFrame, frames))
+        except ValueError as exc:  # _build_catalog quotes the cause
+            raise SchemaError(f"criterion {id!r}: {exc}") from exc
         if not frames:
             raise SchemaError(f"criterion {id!r} belongs to no frame")
         if GLOBAL in frames:
             raise SchemaError(f"criterion {id!r}: frames may not list global")
-        if not 0.0 < alpha <= 1.0:
-            raise SchemaError(f"criterion {id!r} weight outside (0, 1]")
-        return tuple.__new__(cls, (id, level, frames, alpha))
+        return tuple.__new__(cls, (id, level, frames))
 
 
 def _ids_in_frame(catalog: Mapping, frame: DeficiencyFrame) -> frozenset:
@@ -138,22 +139,22 @@ _WEIGHT_KEYS = {"a": "alpha_a", "aa": "alpha_aa", "aaa": "alpha_aaa"}
 _PACKAGED = Path(__file__).parent / "data" / "wcag20_criteria.json"
 
 
-def _build_catalog(entries: Iterable[dict], w: WeightConfig) -> Mapping:
+def _build_catalog(entries: Iterable[dict]) -> Mapping:
     criteria: Dict[str, CriterionSpec] = {}
     for entry in entries:
         try:
-            cid = entry["id"]
-            level = ConformanceLevel(entry["level"])
-            frames = entry["frames"]
-            if not isinstance(frames, (list, tuple)):
-                raise SchemaError(f"criterion {cid!r}: frames must be an "
-                                  f"array, got {frames!r}")
-            frames = frozenset(DeficiencyFrame(f) for f in frames)
-        except (KeyError, TypeError, ValueError) as exc:
+            cid, level, frames = entry["id"], entry["level"], entry["frames"]
+        except (KeyError, TypeError) as exc:
             raise SchemaError(f"bad catalog entry {entry!r}: {exc}") from exc
         if not _CRITERION_KEYS.issuperset(entry):
             raise _unknown_keys(f"criterion {cid!r}", entry, _CRITERION_KEYS)
-        spec = CriterionSpec(cid, level, frames, alpha_for(level, w))
+        try:
+            spec = CriterionSpec(cid, level, frames)
+        except SchemaError as exc:
+            if exc.__cause__ is None:  # not a bad level or frame name
+                raise
+            raise SchemaError(f"bad catalog entry {entry!r}: "
+                              f"{exc.__cause__}") from exc.__cause__
         if criteria.setdefault(cid, spec) is not spec:
             raise SchemaError(f"duplicate criterion id {cid!r}")
     return MappingProxyType(criteria)
@@ -183,9 +184,7 @@ def _weights_from_json(doc: dict, base: WeightConfig) -> WeightConfig:
     kwargs = {attr: weights[key]
               for key, attr in _WEIGHT_KEYS.items() if key in weights}
     kwargs.update(zip(("s1", "s2", "s3", "s4"), ts))
-    if not kwargs:
-        return base
-    return WeightConfig(**{**base._asdict(), **kwargs})
+    return WeightConfig(**{**base._asdict(), **kwargs}) if kwargs else base
 
 
 def load_config(catalog: Union[str, Path, dict, list, None] = None,
@@ -223,4 +222,4 @@ def load_config(catalog: Union[str, Path, dict, list, None] = None,
             raise SchemaError("weights file must be an object with keys "
                               "among 'weights' and 'thresholds'")
         w = _weights_from_json(doc, w)
-    return _build_catalog(entries, w), w
+    return _build_catalog(entries), w

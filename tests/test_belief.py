@@ -22,7 +22,8 @@ from a11yfuse.errors import (
     TotalConflict,
 )
 
-from oracle import AC, EMPTY, NAC, OMEGA, combine_bruteforce, to_setmap
+from oracle import (AC, EMPTY, NAC, OMEGA, combine_bruteforce,
+                    masses_close, to_setmap)
 
 
 @st.composite
@@ -66,8 +67,8 @@ class TestVacuous:
 
     def test_neutral_element(self):
         x = make_mass(0.4, 0.35, 0.25)
-        assert combine_conjunctive(vacuous(), x).isclose(x, 1e-12)
-        assert combine_conjunctive(x, vacuous()).isclose(x, 1e-12)
+        assert masses_close(combine_conjunctive(vacuous(), x), x, 1e-12)
+        assert masses_close(combine_conjunctive(x, vacuous()), x, 1e-12)
 
     def test_pignistic_is_half(self):
         assert pignistic(vacuous()) == 0.5
@@ -76,16 +77,16 @@ class TestVacuous:
 class TestDiscount:
     def test_full_reliability_is_identity(self):
         m = make_mass(0.5, 0.3, 0.2)
-        assert discount(m, 1.0).isclose(m, 1e-12)
+        assert masses_close(discount(m, 1.0), m, 1e-12)
 
     def test_partial_reliability(self):
         # 0.9 * 0.5 = 0.45, 0.9 * 0.3 = 0.27, 1 - 0.9 * (1 - 0.2) = 0.28
         m = discount(make_mass(0.5, 0.3, 0.2), 0.9)
-        assert m.isclose(MassFunction(0.45, 0.27, 0.28), 1e-12)
+        assert masses_close(m, MassFunction(0.45, 0.27, 0.28), 1e-12)
 
     def test_zero_reliability_yields_vacuous(self):
         m = discount(make_mass(0.7, 0.3, 0.0), 0.0)
-        assert m.isclose(vacuous(), 1e-12)
+        assert masses_close(m, vacuous(), 1e-12)
 
     def test_rejects_conflict(self):
         conflicted = MassFunction(0.3, 0.3, 0.2, 0.2)
@@ -114,11 +115,11 @@ class TestCombine:
         got = combine_conjunctive(make_mass(0.6, 0.2, 0.2),
                                   make_mass(0.5, 0.3, 0.2))
         # conflict = 0.6*0.3 + 0.2*0.5 = 0.28
-        assert got.isclose(MassFunction(0.52, 0.16, 0.04, 0.28), 1e-12)
+        assert masses_close(got, MassFunction(0.52, 0.16, 0.04, 0.28), 1e-12)
 
     def test_total_contradiction(self):
         got = combine_conjunctive(make_mass(1, 0, 0), make_mass(0, 1, 0))
-        assert got.isclose(MassFunction(0, 0, 0, 1), 1e-12)
+        assert masses_close(got, MassFunction(0, 0, 0, 1), 1e-12)
 
     def test_combine_all_single(self):
         x = make_mass(0.2, 0.3, 0.5)
@@ -134,7 +135,7 @@ class TestCombine:
                 make_mass(0.3, 0.3, 0.4)]
         results = [combine_all(p) for p in itertools.permutations(trio)]
         for r in results[1:]:
-            assert r.isclose(results[0], 1e-12)
+            assert masses_close(r, results[0], 1e-12)
 
     def test_combine_all_empty(self):
         with pytest.raises(EmptySourceSet):
@@ -173,15 +174,15 @@ class TestPignistic:
 class TestProperties:
     @given(masses(with_conflict=True), masses(with_conflict=True))
     def test_commutative(self, a, b):
-        assert combine_conjunctive(a, b).isclose(
-            combine_conjunctive(b, a), 1e-12)
+        assert masses_close(combine_conjunctive(a, b),
+                            combine_conjunctive(b, a), 1e-12)
 
     @given(masses(with_conflict=True), masses(with_conflict=True),
            masses(with_conflict=True))
     def test_associative(self, a, b, c):
         left = combine_conjunctive(combine_conjunctive(a, b), c)
         right = combine_conjunctive(a, combine_conjunctive(b, c))
-        assert left.isclose(right, 1e-12)
+        assert masses_close(left, right, 1e-12)
 
     @given(masses(with_conflict=True), masses(with_conflict=True))
     def test_normalization_closure(self, a, b):
@@ -191,7 +192,7 @@ class TestProperties:
 
     @given(masses(with_conflict=True))
     def test_vacuous_identity(self, m):
-        assert combine_conjunctive(m, vacuous()).isclose(m, 1e-12)
+        assert masses_close(combine_conjunctive(m, vacuous()), m, 1e-12)
 
     @given(masses(), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
     def test_omega_monotone_in_delta(self, m, d1, d2):

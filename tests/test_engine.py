@@ -29,6 +29,7 @@ from a11yfuse.wcag import (
 )
 
 import reference as ref
+from oracle import masses_close
 
 ROOT = Path(__file__).resolve().parents[1]
 VISUAL = DeficiencyFrame.VISUAL
@@ -166,7 +167,7 @@ class TestEstimate:
         r = report_for(n_ok=8, n_err=2, n_likely=1,
                        t_err=4, t_likely=2)
         e_ac, e_nac, e_omega = estimate_parts(
-            r, DeficiencyFrame.VISUAL, catalog, r.total_tests).triple()
+            r, DeficiencyFrame.VISUAL, catalog, w, r.total_tests).triple()
         # total tests = 8 + 2 + 1 = 11
         assert math.isclose(e_ac, 8 / 11, abs_tol=1e-12)
         assert math.isclose(e_nac, 2 / 4, abs_tol=1e-12)
@@ -176,14 +177,14 @@ class TestEstimate:
         catalog, w = one_criterion_catalog()
         r = report_for(n_ok=5)
         e_ac, e_nac, e_omega = estimate_parts(
-            r, DeficiencyFrame.VISUAL, catalog, r.total_tests).triple()
+            r, DeficiencyFrame.VISUAL, catalog, w, r.total_tests).triple()
         assert (e_nac, e_omega) == (0.0, 0.0)
         assert e_ac == 1.0
 
     def test_frame_without_criteria_is_all_zero(self):
         catalog, w = one_criterion_catalog()
         r = report_for(n_ok=5, n_err=1, t_err=2)
-        e = estimate_parts(r, DeficiencyFrame.HEARING, catalog,
+        e = estimate_parts(r, DeficiencyFrame.HEARING, catalog, w,
                            r.total_tests).triple()
         assert e == (0.0, 0.0, 0.0)
 
@@ -208,7 +209,7 @@ class TestEstimate:
         }
         r = parse_report(doc)
         e_ac, _, _ = estimate_parts(
-            r, DeficiencyFrame.VISUAL, catalog, r.total_tests).triple()
+            r, DeficiencyFrame.VISUAL, catalog, w, r.total_tests).triple()
         assert math.isclose(e_ac, 4 / 10, abs_tol=1e-12)
 
 
@@ -353,9 +354,9 @@ class TestScoreFrame:
         (src,) = d.sources
         assert (src.name, src.delta) == ("tool-a", 0.8)
         assert src.parts == estimate_parts(r, DeficiencyFrame.VISUAL, catalog,
-                                           r.total_tests)
+                                           w, r.total_tests)
         assert src.mass == masses_from_estimates(src.parts.triple())
-        assert src.discounted.isclose(MassFunction(
+        assert masses_close(src.discounted, MassFunction(
             0.8 * src.mass.ac, 0.8 * src.mass.nac,
             1 - 0.8 * (1 - src.mass.omega)), 1e-15)
         assert d.fused == src.discounted
@@ -475,6 +476,39 @@ class TestScorePage:
                 assert page[frame] == got
                 assert decides_like_reference(page[frame], want)
 
+    def test_level_weights_given_equal_a_weights_file(self, tmp_path):
+        # the seed-5 pair: global 0.637966 under the default weights and
+        # 0.666430 under these, whether they are passed or loaded
+        reports = [parse_report(generate_fixture(5, kind))
+                   for kind in ("error-heavy", "potential-heavy")]
+        catalog, default = load_config()
+        w = WeightConfig(alpha_a=0.9, alpha_aa=0.5, alpha_aaa=0.1)
+        path = tmp_path / "weights.json"
+        path.write_text(json.dumps({"weights": {"a": 0.9, "aa": 0.5,
+                                                "aaa": 0.1}}))
+        page = score_page(reports, catalog, w)
+        # named-tuple equality: every float of the trace is equal
+        assert page == score_page(reports, *load_config(None, path))
+        assert f"{page[GLOBAL].decision:.6f}" == "0.666430"
+        before = score_page(reports, catalog, default)[GLOBAL].decision
+        assert f"{before:.6f}" == "0.637966"
+
+    def test_one_catalog_scores_under_each_weight_config(self):
+        docs = [json.loads(generate_fixture(3, kind))
+                for kind in ("error-heavy", "potential-heavy")]
+        reports = [parse_report(doc) for doc in docs]
+        catalog = load_config(ENTRIES)[0]
+        globals_ = set()
+        for weights in ({}, {"a": 0.9, "aa": 0.5, "aaa": 0.1}):
+            w = load_config({"criteria": [], "weights": weights})[1]
+            page = score_page(reports, catalog, w)
+            for frame, (got, want) in zip(
+                    FRAMES, frames_against_reference(docs, ENTRIES, weights)):
+                assert page[frame] == got
+                assert decides_like_reference(page[frame], want)
+            globals_.add(page[GLOBAL].decision)
+        assert len(globals_) == 2
+
     @given(st.lists(REPORT_DOC, min_size=1, max_size=4),
            st.sets(st.integers(0, len(ENTRIES) - 1), min_size=1),
            st.lists(st.floats(0.0, 1.0, exclude_min=True),
@@ -580,6 +614,6 @@ class TestWeightConsistency:
             }
             r = parse_report(doc)
             masses.append(masses_from_estimates(
-                estimate_parts(r, DeficiencyFrame.VISUAL, catalog,
+                estimate_parts(r, DeficiencyFrame.VISUAL, catalog, w,
                                r.total_tests).triple()))
-        assert masses[0].isclose(masses[1], 1e-12)
+        assert masses_close(masses[0], masses[1], 1e-12)

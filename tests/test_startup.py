@@ -62,7 +62,7 @@ def _obs():
 
 
 SPEC = CriterionSpec("1.1.1", ConformanceLevel.A,
-                     frozenset({DeficiencyFrame.VISUAL}), 1.0)
+                     frozenset({DeficiencyFrame.VISUAL}))
 
 INSTANCES = [
     MassFunction(0.2, 0.3, 0.5),
@@ -96,10 +96,9 @@ INVALID = [
     (lambda: WeightConfig(s1=0.9, s4=0.6), SchemaError),
     (lambda: WeightConfig(beta_likely=-0.1), TypeError),
     (lambda: WeightConfig(delta=1.5), TypeError),
-    (lambda: CriterionSpec("1.1.1", ConformanceLevel.A, frozenset(), 1.0),
+    (lambda: CriterionSpec("1.1.1", ConformanceLevel.A, frozenset()),
      SchemaError),
-    (lambda: CriterionSpec("1.1.1", ConformanceLevel.A,
-                           frozenset({DeficiencyFrame.VISUAL}), 0.0),
+    (lambda: CriterionSpec("1.1.1", "B", frozenset({DeficiencyFrame.VISUAL})),
      SchemaError),
     (lambda: AssessorProfile(""), SchemaError),
     (lambda: AssessorProfile("tool", delta=1.5), SchemaError),
@@ -114,6 +113,11 @@ INVALID = [
     (lambda: SourceResult("tool", 1.0), TypeError),
     (lambda: FrameDecision(DeficiencyFrame.VISUAL, level=None), TypeError),
     (lambda: AssessorReport(AssessorProfile("tool"), "u", {}, 3), TypeError),
+    (lambda: AssessorReport("tool", "u"), SchemaError),
+    (lambda: AssessorReport(AssessorProfile("tool"), "u",
+                            {"1.1.1": tuple(_obs())}), SchemaError),
+    (lambda: AssessorReport(AssessorProfile("tool"), "u", [_obs()]),
+     SchemaError),
 ]
 
 
@@ -161,9 +165,13 @@ SAME_AS_LOADER = {
                     lambda: load_config({"criteria": [],
                                          "weights": {"a": 10 ** 400}})),
     "catalog-id-int": (
-        lambda: CriterionSpec(5, ConformanceLevel.A, VISUAL, 1.0),
+        lambda: CriterionSpec(5, ConformanceLevel.A, VISUAL),
         lambda: load_config([{"id": 5, "level": "A",
                               "frames": ["visual"]}])),
+    "catalog-frames-object": (  # would iterate as its keys
+        lambda: CriterionSpec("1.1.1", "A", {"visual": True}),
+        lambda: load_config([{"id": "1.1.1", "level": "A",
+                              "frames": {"visual": True}}])),
 }
 
 
@@ -189,7 +197,8 @@ def test_weights_are_stored_as_floats():
 
 def test_keyword_construction_keeps_defaults():
     w = WeightConfig(**{**WeightConfig()._asdict(), "alpha_aaa": 0.5})
-    assert w.alpha_aaa == 0.5 and w.thresholds == (0.6, 0.7, 0.8, 0.9)
+    assert w.alpha_aaa == 0.5
+    assert (w.s1, w.s2, w.s3, w.s4) == (0.6, 0.7, 0.8, 0.9)
     p = AssessorProfile("tool")
     assert p[1:] == tuple(getattr(WeightConfig, k)
                           for k in AssessorProfile._fields[1:])

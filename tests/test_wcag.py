@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 import threading
 
@@ -25,7 +26,8 @@ class TestDefaults:
         assert (w.alpha_a, w.alpha_aa, w.alpha_aaa) == (1.0, 0.8, 0.6)
 
     def test_thresholds(self):
-        assert WeightConfig().thresholds == (0.6, 0.7, 0.8, 0.9)
+        w = WeightConfig()
+        assert (w.s1, w.s2, w.s3, w.s4) == (0.6, 0.7, 0.8, 0.9)
 
     def test_certainty_and_reliability(self):
         w = WeightConfig()
@@ -37,24 +39,31 @@ class TestDefaults:
         assert 0 < w.alpha_aaa <= w.alpha_aa <= w.alpha_a <= 1
         assert 0 < w.s1 < w.s2 < w.s3 < w.s4 < 1
 
+    @pytest.mark.parametrize("weights", [
+        {"alpha_aaa": 0.0}, {"alpha_a": 1.5}, {"alpha_aaa": 0.9}])
+    def test_level_weight_range(self, weights):
+        # (0, 1], and never above a higher level's weight
+        with pytest.raises(SchemaError, match="^level weights must satisfy "):
+            WeightConfig(**weights)
+
 
 class TestAlphaFor:
     def test_level_a(self):
-        assert alpha_for(ConformanceLevel.A, WeightConfig()) == 1.0
+        assert alpha_for(WeightConfig())[ConformanceLevel.A] == 1.0
 
     def test_level_aaa(self):
-        assert alpha_for(ConformanceLevel.AAA, WeightConfig()) == 0.6
+        assert alpha_for(WeightConfig())[ConformanceLevel.AAA] == 0.6
 
     def test_custom_config(self):
         w = WeightConfig(alpha_a=1.0, alpha_aa=0.9, alpha_aaa=0.5)
-        assert alpha_for(ConformanceLevel.AA, w) == 0.9
+        assert alpha_for(w)[ConformanceLevel.AA] == 0.9
 
     def test_monotone_non_increasing(self):
         for w in (WeightConfig(),
                   WeightConfig(alpha_a=0.7, alpha_aa=0.7, alpha_aaa=0.1)):
-            assert (alpha_for(ConformanceLevel.A, w)
-                    >= alpha_for(ConformanceLevel.AA, w)
-                    >= alpha_for(ConformanceLevel.AAA, w))
+            alphas = alpha_for(w)
+            assert (alphas[ConformanceLevel.A] >= alphas[ConformanceLevel.AA]
+                    >= alphas[ConformanceLevel.AAA])
 
 
 def small_catalog():
@@ -160,8 +169,7 @@ class TestFrameSetsBuiltOnce:
         catalog = dict(small_catalog())
         assert criteria_in_frame(catalog, "hearing") == {"c2"}
         catalog["c3"] = CriterionSpec("c3", ConformanceLevel.A,
-                                      frozenset({DeficiencyFrame.HEARING}),
-                                      1.0)
+                                      frozenset({DeficiencyFrame.HEARING}))
         assert criteria_in_frame(catalog, "hearing") == {"c2", "c3"}
         del catalog["c2"]
         assert criteria_in_frame(catalog, "hearing") == {"c3"}
@@ -190,11 +198,6 @@ class TestDefaultCatalog:
         visual = criteria_in_frame(catalog, DeficiencyFrame.VISUAL)
         assert len(visual) / len(catalog) >= 0.7
 
-    def test_alphas_follow_levels(self):
-        catalog, w = load_config()
-        for c in catalog.values():
-            assert c.alpha == alpha_for(c.level, w)
-
 
 class TestLoading:
     def test_object_with_overrides(self, tmp_path):
@@ -207,8 +210,8 @@ class TestLoading:
         path.write_text(json.dumps(doc))
         catalog, w = load_config(path)
         assert w.alpha_aa == 0.7
-        assert w.thresholds == (0.5, 0.6, 0.7, 0.8)
-        assert catalog.get("c1").alpha == 1.0
+        assert (w.s1, w.s2, w.s3, w.s4) == (0.5, 0.6, 0.7, 0.8)
+        assert alpha_for(w)[catalog["c1"].level] == 1.0
 
     def test_duplicate_id_rejected(self):
         doc = [{"id": "c1", "level": "A", "frames": ["visual"]},
@@ -270,7 +273,7 @@ class TestLoadConfig:
         wpath = self.write(tmp_path, "w.json", {"weights": {"aa": 0.7}})
         catalog, w = load_config(None, wpath)
         assert w.alpha_aa == 0.7
-        assert catalog.get("1.4.3").alpha == 0.7
+        assert alpha_for(w)[catalog["1.4.3"].level] == 0.7
 
     def test_weights_file_wins_over_catalog_overrides(self, tmp_path):
         cpath = self.write(tmp_path, "c.json", {
@@ -278,8 +281,8 @@ class TestLoadConfig:
             "weights": {"aa": 0.7}, "thresholds": [0.5, 0.6, 0.7, 0.8]})
         wpath = self.write(tmp_path, "w.json", {"weights": {"aa": 0.65}})
         catalog, w = load_config(cpath, wpath)
-        assert catalog.get("c1").alpha == w.alpha_aa == 0.65
-        assert w.thresholds == (0.5, 0.6, 0.7, 0.8)
+        assert alpha_for(w)[catalog["c1"].level] == w.alpha_aa == 0.65
+        assert (w.s1, w.s2, w.s3, w.s4) == (0.5, 0.6, 0.7, 0.8)
 
     def test_catalog_criteria_must_be_an_array(self, tmp_path):
         cpath = self.write(tmp_path, "c.json", {"criteria": 5})
@@ -296,18 +299,35 @@ class TestLoadConfig:
 class TestCriterionSpec:
     def test_requires_frames(self):
         with pytest.raises(SchemaError):
-            CriterionSpec("c1", ConformanceLevel.A, frozenset(), 1.0)
+            CriterionSpec("c1", ConformanceLevel.A, frozenset())
 
     def test_global_is_no_catalog_frame(self):
         for frames in ({GLOBAL}, {DeficiencyFrame.VISUAL, GLOBAL}):
             with pytest.raises(SchemaError, match="^criterion 'c1': "):
-                CriterionSpec("c1", ConformanceLevel.A, frozenset(frames),
-                              1.0)
+                CriterionSpec("c1", ConformanceLevel.A, frozenset(frames))
         with pytest.raises(SchemaError,
                            match="^criterion 'c1' belongs to no frame$"):
-            CriterionSpec("c1", ConformanceLevel.A, frozenset(), 1.0)
+            CriterionSpec("c1", ConformanceLevel.A, frozenset())
 
-    def test_weight_range(self):
-        with pytest.raises(SchemaError):
-            CriterionSpec("c1", ConformanceLevel.A,
-                          frozenset({DeficiencyFrame.VISUAL}), 0.0)
+    def test_level_and_frames_given_by_name(self):
+        spec = CriterionSpec("c1", "AA", ["visual", DeficiencyFrame.MOTOR])
+        assert spec.level is ConformanceLevel.AA == "AA"
+        assert spec.frames == {DeficiencyFrame.VISUAL, DeficiencyFrame.MOTOR}
+        assert {type(f) for f in spec.frames} == {DeficiencyFrame}
+        assert criteria_in_frame({"c1": spec}, "visual") == {"c1"}
+
+    @pytest.mark.parametrize("level, frames, fault", [
+        ("B", ["visual"], "'B' is not a valid ConformanceLevel"),
+        ("A", ["Visual"], "'Visual' is not a valid DeficiencyFrame"),
+        ("A", ["visual", 5], "5 is not a valid DeficiencyFrame"),
+    ])
+    def test_bad_level_or_frame_rejected(self, level, frames, fault):
+        # a frame name in the wrong case once dropped the criterion from
+        # its frame, though global still counted it
+        with pytest.raises(SchemaError,
+                           match=f"^criterion 'c1': {re.escape(fault)}$"):
+            CriterionSpec("c1", level, frames)
+        entry = {"id": "c1", "level": level, "frames": frames}
+        with pytest.raises(SchemaError) as loaded:
+            load_config([entry])
+        assert str(loaded.value) == f"bad catalog entry {entry!r}: {fault}"
