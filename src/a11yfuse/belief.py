@@ -32,11 +32,12 @@ class MassFunction(namedtuple("MassFunction", "ac nac omega empty")):
     __slots__ = ()
 
     def __new__(cls, ac: float, nac: float, omega: float, empty: float = 0.0):
+        # each check negates the valid range: a NaN fails every comparison
         for name, v in zip(cls._fields, (ac, nac, omega, empty)):
-            if v < -NEG_TOL or v > 1.0 + NORM_TOL:
+            if not -NEG_TOL <= v <= 1.0 + NORM_TOL:
                 raise NegativeMass(f"mass component {name}={v} outside [0, 1]")
         s = ac + nac + omega + empty
-        if abs(s - 1.0) > NORM_TOL:
+        if not abs(s - 1.0) <= NORM_TOL:
             raise NotNormalized(f"mass components sum to {s}, expected 1")
         return tuple.__new__(cls, (ac, nac, omega, empty))
 
@@ -52,11 +53,11 @@ def make_mass(ac: float, nac: float, omega: float) -> MassFunction:
     rescaled to sum exactly to 1; anything larger is rejected.
     """
     for v in (ac, nac, omega):
-        if v < -NEG_TOL:
+        if not v >= -NEG_TOL:
             raise NegativeMass(f"mass component {v} is negative")
     ac, nac, omega = max(ac, 0.0), max(nac, 0.0), max(omega, 0.0)
     s = ac + nac + omega
-    if abs(s - 1.0) > NORM_TOL:
+    if not abs(s - 1.0) <= NORM_TOL:
         raise NotNormalized(f"mass components sum to {s}, expected 1")
     return _mass((ac / s, nac / s, omega / s, 0.0))
 

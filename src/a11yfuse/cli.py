@@ -82,8 +82,7 @@ def _render_json(url: str, decisions: Decisions, ascii_mode: bool) -> str:
             "level": None if d.level is None else d.level.value,
             "glyph": _glyph(d, ascii_mode),
             "mass": d.fused._asdict(),
-            "per_source": {name: m._asdict()
-                           for name, m in d.per_source.items()},
+            "per_source": {s.name: s.discounted._asdict() for s in d.sources},
         }
     return json.dumps({"url": url, "frames": frames}) + "\n"
 

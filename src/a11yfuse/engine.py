@@ -9,6 +9,7 @@ five levels rendered as arrow glyphs.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import namedtuple
 from enum import Enum
 from typing import Dict, Iterable, Mapping
@@ -60,8 +61,9 @@ class AccessLevel(str, Enum):
         return _ASCII_GLYPHS[self]
 
 
-# in AccessLevel order, very bad to very good: down, down-right, right,
-# up-right, up
+# very bad to very good, indexed by discretize's count of thresholds at or
+# below the decision; the glyphs are down, down-right, right, up-right, up
+_LEVELS = tuple(AccessLevel)
 _GLYPHS = dict(zip(AccessLevel, "↓↘→↗↑"))
 _ASCII_GLYPHS = dict(zip(AccessLevel, "v\\-/^"))
 
@@ -82,10 +84,6 @@ class FrameDecision(namedtuple(
     Under total conflict decision and level are None."""
 
     __slots__ = ()
-
-    @property
-    def per_source(self) -> Dict[str, MassFunction]:
-        return {s.name: s.discounted for s in self.sources}
 
 
 def estimate_parts(report: AssessorReport, frame: DeficiencyFrame,
@@ -146,15 +144,7 @@ def discretize(d: float, w: WeightConfig) -> AccessLevel:
     """
     if not 0.0 <= d <= 1.0:
         raise OutOfRange(f"decision value {d} outside [0, 1]")
-    if d >= w.s4:
-        return AccessLevel.VERY_GOOD
-    if d >= w.s3:
-        return AccessLevel.GOOD
-    if d >= w.s2:
-        return AccessLevel.MODERATE
-    if d >= w.s1:
-        return AccessLevel.BAD
-    return AccessLevel.VERY_BAD
+    return _LEVELS[bisect_right((w.s1, w.s2, w.s3, w.s4), d)]
 
 
 def score_page(reports: Iterable[AssessorReport], catalog: Mapping,

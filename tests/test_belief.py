@@ -60,6 +60,18 @@ class TestMakeMass:
         m = make_mass(0.5, 0.3, 0.2 + 5e-10)
         assert math.isclose(m.ac + m.nac + m.omega, 1.0, abs_tol=1e-15)
 
+    def test_nan_rejected(self):
+        with pytest.raises(NegativeMass):
+            make_mass(math.nan, 0.0, 1.0)
+
+
+class TestMassFunction:
+    @pytest.mark.parametrize("components", [
+        (math.nan, 0.0, 1.0), (0.0, 0.0, 1.0, math.nan)], ids=str)
+    def test_nan_rejected(self, components):
+        with pytest.raises(NegativeMass):
+            MassFunction(*components)
+
 
 class TestVacuous:
     def test_definition(self):

@@ -18,7 +18,8 @@ from a11yfuse.engine import (
     score_page,
 )
 from a11yfuse.cli import main
-from a11yfuse.errors import EmptySourceSet, MixedUrls, OutOfRange, UnknownFrame
+from a11yfuse.errors import (EmptySourceSet, MixedUrls, NegativeMass,
+                             OutOfRange, UnknownFrame)
 from a11yfuse.reports import FIXTURE_KINDS, generate_fixture, parse_report
 from a11yfuse.wcag import (
     FRAMES,
@@ -227,6 +228,11 @@ class TestMassesFromEstimates:
         m = masses_from_estimates((1, 0, 0))
         assert m == MassFunction(1, 0, 0, 0)
 
+    def test_infinite_estimate_rejected(self):
+        # inf / inf is NaN, which make_mass rejects
+        with pytest.raises(NegativeMass):
+            masses_from_estimates((math.inf, 0.1, 0.1))
+
 
 class TestDiscretize:
     # ids=str ids a level as AccessLevel.<NAME>; by default pytest would
@@ -252,6 +258,16 @@ class TestDiscretize:
     def test_threshold_boundaries_take_better_level(self, value, level):
         assert discretize(value, WeightConfig()) is level
 
+    @given(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                    min_size=4, max_size=4, unique=True).map(sorted),
+           st.floats(0.0, 1.0))
+    def test_level_counts_thresholds_at_or_below(self, thresholds, d):
+        w = WeightConfig(1.0, 0.8, 0.6, *thresholds)
+        for value in (0.0, 1.0, d, *thresholds,
+                      *(math.nextafter(t, 0.0) for t in thresholds)):
+            assert discretize(value, w) is list(AccessLevel)[
+                sum(t <= value for t in thresholds)]
+
     def test_out_of_range(self):
         with pytest.raises(OutOfRange):
             discretize(1.1, WeightConfig())
@@ -270,7 +286,7 @@ class TestScoreFrame:
         d = score_page([r], catalog, w, (VISUAL,))[VISUAL]
         assert math.isclose(d.decision, pignistic(d.fused), abs_tol=1e-15)
         assert d.level is discretize(d.decision, w)
-        assert set(d.per_source) == {"tool-a"}
+        assert [s.name for s in d.sources] == ["tool-a"]
 
     def test_two_identical_confident_sources_strengthen(self):
         # m = (0.9, 0, 0.1) twice: fused m(Ac) = 0.81 + 0.09 + 0.09 = 0.99
@@ -289,7 +305,7 @@ class TestScoreFrame:
         both = score_page([informative, silent], catalog, w,
                           (VISUAL,))[VISUAL]
         assert math.isclose(both.decision, alone.decision, abs_tol=1e-12)
-        assert both.per_source["tool-b"] == vacuous()
+        assert both.sources[1].discounted == vacuous()
 
     def test_source_order_invariance(self):
         catalog, w = load_config()
@@ -344,7 +360,8 @@ class TestScoreFrame:
         weak = report_for(n_ok=8, n_err=2, t_err=4, delta=0.5)
         d_full = score_page([full], catalog, w, (VISUAL,))[VISUAL]
         d_weak = score_page([weak], catalog, w, (VISUAL,))[VISUAL]
-        assert d_weak.per_source["tool-a"].omega > d_full.per_source["tool-a"].omega
+        assert (d_weak.sources[0].discounted.omega
+                > d_full.sources[0].discounted.omega)
 
     def test_trace_matches_the_pipeline_steps(self):
         catalog, w = one_criterion_catalog()
@@ -367,7 +384,6 @@ class TestScoreFrame:
                    report_for(n_ok=1, n_err=3, t_err=4)]
         d = score_page(reports, catalog, w, (VISUAL,))[VISUAL]
         assert [s.name for s in d.sources] == ["tool-a", "tool-a#1"]
-        assert list(d.per_source) == ["tool-a", "tool-a#1"]
 
     def test_total_conflict_has_no_decision(self):
         catalog, w = one_criterion_catalog()

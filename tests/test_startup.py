@@ -57,6 +57,28 @@ def test_cli_import_skips_heavy_modules():
     assert loaded == ""
 
 
+def test_cli_runs_on_the_standard_library_alone(tmp_path):
+    # every module a fixtures, score and explain run leaves loaded, by
+    # top-level name; python -S keeps site-packages off the path
+    code = """if True:
+        import sys
+        sys.path.insert(0, sys.argv[1])
+        from a11yfuse.cli import main
+        page = sys.argv[2] + "/report-balanced-7.json"
+        codes = [main(["fixtures", "--seed", "7", "--out", sys.argv[2]]),
+                 main(["score", "--format", "json", "--page", page]),
+                 main(["explain", "--frame", "global", "--page", page])]
+        own = sys.stdlib_module_names | {"a11yfuse", "__main__"}
+        print(codes, sorted(m for m in sys.modules
+                            if m.partition(".")[0] not in own))
+    """
+    proc = subprocess.run([sys.executable, "-S", "-c", code, str(SRC),
+                           str(tmp_path)],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] []"
+    assert proc.stderr == ""
+
+
 def _obs():
     return CriterionObservation("1.1.1", n_err=1, n_ok=2, t_err=1)
 
