@@ -54,7 +54,7 @@ def make_mass(ac: float, nac: float, omega: float) -> MassFunction:
     """
     for v in (ac, nac, omega):
         if not v >= -NEG_TOL:
-            raise NegativeMass(f"mass component {v} is negative")
+            raise NegativeMass(f"mass component {v} is negative or NaN")
     ac, nac, omega = max(ac, 0.0), max(nac, 0.0), max(omega, 0.0)
     s = ac + nac + omega
     if not abs(s - 1.0) <= NORM_TOL:

@@ -32,10 +32,6 @@ class AssessorProfile(namedtuple(
                 beta_likely: float = WeightConfig.beta_likely,
                 beta_potential: float = WeightConfig.beta_potential,
                 delta: float = WeightConfig.delta):
-        if not name:
-            raise SchemaError("assessor name must be non-empty")
-        if not isinstance(name, str):
-            raise SchemaError(f"assessor name must be a string, got {name!r}")
         _check_text("assessor name", name)
         values = (beta_err, beta_likely, beta_potential, delta)
         for label, v in zip(_PROFILE_KEYS, values):
@@ -50,7 +46,7 @@ _PROFILE_KEYS = AssessorProfile._fields[1:]
 def _check_text(label: str, text: str) -> None:
     """Raise unless text is a non-empty str that encodes as UTF-8."""
     if not isinstance(text, str) or not text:
-        raise SchemaError(f"{label} must be a non-empty string")
+        raise SchemaError(f"{label} must be a non-empty string, got {text!r}")
     try:  # a lone surrogate, which JSON's \u escapes can spell
         text.encode("utf-8")
     except UnicodeEncodeError:

@@ -98,7 +98,7 @@ class CriterionSpec(namedtuple("CriterionSpec", "id level frames")):
         try:
             level = ConformanceLevel(level)
             frames = frozenset(map(DeficiencyFrame, frames))
-        except ValueError as exc:  # _build_catalog quotes the cause
+        except ValueError as exc:
             raise SchemaError(f"criterion {id!r}: {exc}") from exc
         if not frames:
             raise SchemaError(f"criterion {id!r} belongs to no frame")
@@ -134,6 +134,7 @@ def _unknown_keys(where: str, doc: dict, allowed: frozenset) -> SchemaError:
 
 
 _CATALOG_KEYS = frozenset(("criteria", "weights", "thresholds"))
+_WEIGHTS_FILE_KEYS = frozenset(("weights", "thresholds"))
 _CRITERION_KEYS = frozenset(("id", "level", "frames"))
 _WEIGHT_KEYS = {"a": "alpha_a", "aa": "alpha_aa", "aaa": "alpha_aaa"}
 _PACKAGED = Path(__file__).parent / "data" / "wcag20_criteria.json"
@@ -142,19 +143,12 @@ _PACKAGED = Path(__file__).parent / "data" / "wcag20_criteria.json"
 def _build_catalog(entries: Iterable[dict]) -> Mapping:
     criteria: Dict[str, CriterionSpec] = {}
     for entry in entries:
-        try:
-            cid, level, frames = entry["id"], entry["level"], entry["frames"]
-        except (KeyError, TypeError) as exc:
-            raise SchemaError(f"bad catalog entry {entry!r}: {exc}") from exc
+        if not isinstance(entry, dict) or not _CRITERION_KEYS.issubset(entry):
+            raise SchemaError(f"bad catalog entry: {entry!r}")
+        cid = entry["id"]
         if not _CRITERION_KEYS.issuperset(entry):
             raise _unknown_keys(f"criterion {cid!r}", entry, _CRITERION_KEYS)
-        try:
-            spec = CriterionSpec(cid, level, frames)
-        except SchemaError as exc:
-            if exc.__cause__ is None:  # not a bad level or frame name
-                raise
-            raise SchemaError(f"bad catalog entry {entry!r}: "
-                              f"{exc.__cause__}") from exc.__cause__
+        spec = CriterionSpec(cid, entry["level"], entry["frames"])
         if criteria.setdefault(cid, spec) is not spec:
             raise SchemaError(f"duplicate criterion id {cid!r}")
     return MappingProxyType(criteria)
@@ -174,9 +168,10 @@ def _weights_from_json(doc: dict, base: WeightConfig) -> WeightConfig:
     a catalog object or weights file; any other weights key is rejected,
     and WeightConfig checks the values."""
     weights = doc.get("weights", {})
-    if not isinstance(weights, dict) or not set(weights) <= set(_WEIGHT_KEYS):
-        raise SchemaError(f"'weights' must be an object with keys among "
-                          f"{sorted(_WEIGHT_KEYS)}, got {weights!r}")
+    if not isinstance(weights, dict):
+        raise SchemaError("weights must be a JSON object")
+    if not weights.keys() <= _WEIGHT_KEYS.keys():
+        raise _unknown_keys("weights", weights, _WEIGHT_KEYS.keys())
     ts = doc.get("thresholds", ())
     if "thresholds" in doc and not (isinstance(ts, (list, tuple))
                                     and len(ts) == 4):
@@ -217,9 +212,9 @@ def load_config(catalog: Union[str, Path, dict, list, None] = None,
         raise SchemaError("catalog must be a JSON array or object")
     if weights:
         doc = _decode_json(Path(weights).read_bytes(), "weights file")
-        if not isinstance(doc, dict) or \
-                not set(doc) <= {"weights", "thresholds"}:
-            raise SchemaError("weights file must be an object with keys "
-                              "among 'weights' and 'thresholds'")
+        if not isinstance(doc, dict):
+            raise SchemaError("weights file must be a JSON object")
+        if not _WEIGHTS_FILE_KEYS.issuperset(doc):
+            raise _unknown_keys("weights file", doc, _WEIGHTS_FILE_KEYS)
         w = _weights_from_json(doc, w)
     return _build_catalog(entries), w

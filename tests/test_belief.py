@@ -61,7 +61,9 @@ class TestMakeMass:
         assert math.isclose(m.ac + m.nac + m.omega, 1.0, abs_tol=1e-15)
 
     def test_nan_rejected(self):
-        with pytest.raises(NegativeMass):
+        # a NaN fails every comparison, so it is no negative number
+        with pytest.raises(NegativeMass,
+                           match=r"^mass component nan is negative or NaN$"):
             make_mass(math.nan, 0.0, 1.0)
 
 

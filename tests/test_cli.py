@@ -416,30 +416,43 @@ class TestTotalConflict:
         assert docs[1]["frames"]["visual"]["decision"] is not None
 
 
+LEVEL_ORDER = ("level weights must satisfy "
+               "0 < alpha_aaa <= alpha_aa <= alpha_a <= 1")
+THRESHOLD_ORDER = "thresholds must satisfy 0 < s1 < s2 < s3 < s4 < 1"
+BAD_WEIGHTS = [
+    ({"weights": {"a": "high"}},
+     "weights and thresholds must be numbers, got 'high'"),
+    ([1, 2], "weights file must be a JSON object"),
+    ({"weights": {"beta_err": 0.1}}, "weights: unknown key(s) 'beta_err'"),
+    ({"weights": {"beta_likely": 0.1}},
+     "weights: unknown key(s) 'beta_likely'"),
+    ({"weights": {"beta_potential": 0.1}},
+     "weights: unknown key(s) 'beta_potential'"),
+    ({"weights": [1]}, "weights must be a JSON object"),
+    ({"thresholds": [0.1, "x", 0.3, 0.4]},
+     "weights and thresholds must be numbers, got 'x'"),
+    ({"beta_err": 0.1}, "weights file: unknown key(s) 'beta_err'"),
+    ({"criteria": []}, "weights file: unknown key(s) 'criteria'"),
+    ({"weights": {"a": 0.5, "aa": 0.9}}, LEVEL_ORDER),
+    ({"thresholds": [0.9, 0.8, 0.7, 0.6]}, THRESHOLD_ORDER),
+    # once an OverflowError traceback
+    ({"weights": {"a": 10 ** 400}}, LEVEL_ORDER),
+    ({"thresholds": [0.6, 0.7, 0.8, 10 ** 400]}, THRESHOLD_ORDER),
+    ({"thresold": [0.6, 0.7, 0.8, 0.9]},
+     "weights file: unknown key(s) 'thresold'"),
+    ({"weights": {"a": 1.0, "b": 0.5}}, "weights: unknown key(s) 'b'"),
+]
+
+
 class TestConfigErrors:
-    @pytest.mark.parametrize("doc", [
-        {"weights": {"a": "high"}},
-        [1, 2],
-        {"weights": {"beta_err": 0.1}},
-        {"weights": {"beta_likely": 0.1}},
-        {"weights": {"beta_potential": 0.1}},
-        {"weights": [1]},
-        {"thresholds": [0.1, "x", 0.3, 0.4]},
-        {"beta_err": 0.1},
-        {"criteria": []},
-        {"weights": {"a": 0.5, "aa": 0.9}},
-        {"thresholds": [0.9, 0.8, 0.7, 0.6]},
-        {"weights": {"a": 10 ** 400}},  # once an OverflowError traceback
-        {"thresholds": [0.6, 0.7, 0.8, 10 ** 400]},
-    ])
+    @pytest.mark.parametrize("doc, message", BAD_WEIGHTS,
+                             ids=[f"doc{i}" for i in range(len(BAD_WEIGHTS))])
     def test_bad_weights_file_exit_1(self, capsys, tmp_path, fixture_pair,
-                                     doc):
+                                     doc, message):
         wpath = write_json(tmp_path / "w.json", doc)
         code, out, err = run(capsys, "score", "--weights", wpath,
                              "--page", *fixture_pair)
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("flag", ("--weights", "--catalog"))
     @pytest.mark.parametrize("doc", [
@@ -470,6 +483,19 @@ class TestConfigErrors:
         code, out, err = run(capsys, "score", "--catalog", path,
                              "--page", *fixture_pair)
         assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("entry", [
+        "1.1.1", None, 5, ["id"], {"id": "1.1.1", "level": "A"}],
+        ids=["str", "null", "int", "list", "no-frames"])
+    def test_bad_catalog_entry_exit_1(self, capsys, tmp_path, fixture_pair,
+                                      entry):
+        # a string entry once printed Python's "string indices must be
+        # integers"
+        catalog = write_json(tmp_path / "catalog.json", [entry])
+        code, out, err = run(capsys, "score", "--catalog", catalog,
+                             "--page", *fixture_pair)
+        assert (code, out, err) == \
+            (1, "", f"error: bad catalog entry: {entry!r}\n")
 
     @pytest.mark.parametrize("frames", [["global"], ["visual", "global"]])
     def test_catalog_may_not_list_global_exit_1(self, capsys, tmp_path,
@@ -505,8 +531,9 @@ class TestConfigErrors:
                                            "must be an array, got 'visual'\n")
 
     @pytest.mark.parametrize("name, cid, message", [
-        (None, "1.1.1", "assessor name must be non-empty"),
-        (["tool"], "1.1.1", "assessor name must be a string, got ['tool']"),
+        (None, "1.1.1", "assessor name must be a non-empty string, got None"),
+        (["tool"], "1.1.1",
+         "assessor name must be a non-empty string, got ['tool']"),
         ("t", 1.1, "criterion must be a string, got 1.1"),
         ("t", 7, "criterion must be a string, got 7"),
     ], ids=["name-null", "name-list", "id-float", "id-int"])
@@ -993,6 +1020,13 @@ def _damage(data, text: bytes) -> bytes:
     return text
 
 
+# phrases of Python's own TypeError and AttributeError messages, which no
+# error: line may relay
+PYTHON_WORDING = ("not subscriptable", "indices must be integers",
+                  "unhashable type", "has no attribute", "positional argument",
+                  "not supported between instances")
+
+
 class TestNoTraceback:
     """Whatever a report, catalog or weights file holds, the CLI exits 0
     or 1 with one printable `error:` or `warning:` line per fault, and a
@@ -1037,6 +1071,7 @@ class TestNoTraceback:
             for line in lines:
                 assert line.isprintable()
                 assert line.startswith(("error: ", "warning: "))
+                assert not any(words in line for words in PYTHON_WORDING)
             failed = [line for line in lines if line.startswith("error: ")
                       and not line.startswith("error: total conflict: ")]
             if target != "report":

@@ -230,7 +230,8 @@ class TestMassesFromEstimates:
 
     def test_infinite_estimate_rejected(self):
         # inf / inf is NaN, which make_mass rejects
-        with pytest.raises(NegativeMass):
+        with pytest.raises(NegativeMass, match=r"^mass component nan is "
+                                               r"negative or NaN$"):
             masses_from_estimates((math.inf, 0.1, 0.1))
 
 

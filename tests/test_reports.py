@@ -218,13 +218,13 @@ class TestUnknownKeys:
 class TestNamesAndIdsAreStrings:
     # each was once passed through str(): null scored as assessor "None",
     # and a criterion 1.1 matched catalog id "1.1"
-    @pytest.mark.parametrize("name, message", [
-        (None, "assessor name must be non-empty"),
-        (["tool"], "assessor name must be a string, got ['tool']"),
-        (7, "assessor name must be a string, got 7"),
-        (True, "assessor name must be a string, got True"),
-    ])
-    def test_assessor_name(self, name, message):
+    @pytest.mark.parametrize("name", [
+        None, ["tool"], 7, True, 0, False, [], ""], ids=[
+        "null", "list", "int", "true", "zero", "false", "empty-list",
+        "empty-str"])
+    def test_assessor_name(self, name):
+        # one wording, whether the value is falsy or not a str
+        message = f"assessor name must be a non-empty string, got {name!r}"
         with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
             parse_report(report_doc([obs()], name=name))
         with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):

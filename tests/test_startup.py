@@ -194,6 +194,14 @@ SAME_AS_LOADER = {
         lambda: CriterionSpec("1.1.1", "A", {"visual": True}),
         lambda: load_config([{"id": "1.1.1", "level": "A",
                               "frames": {"visual": True}}])),
+    "catalog-level-bad": (
+        lambda: CriterionSpec("1.1.1", "B", VISUAL),
+        lambda: load_config([{"id": "1.1.1", "level": "B",
+                              "frames": ["visual"]}])),
+    "catalog-frame-case": (
+        lambda: CriterionSpec("1.1.1", "A", ["Visual"]),
+        lambda: load_config([{"id": "1.1.1", "level": "A",
+                              "frames": ["Visual"]}])),
 }
 
 

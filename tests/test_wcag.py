@@ -330,4 +330,4 @@ class TestCriterionSpec:
         entry = {"id": "c1", "level": level, "frames": frames}
         with pytest.raises(SchemaError) as loaded:
             load_config([entry])
-        assert str(loaded.value) == f"bad catalog entry {entry!r}: {fault}"
+        assert str(loaded.value) == f"criterion 'c1': {fault}"
