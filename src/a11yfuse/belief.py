@@ -16,8 +16,7 @@ from typing import Iterable
 from .errors import (
     ConflictPresent,
     EmptySourceSet,
-    NegativeMass,
-    NotNormalized,
+    InvalidMass,
     OutOfRange,
     TotalConflict,
 )
@@ -35,10 +34,10 @@ class MassFunction(namedtuple("MassFunction", "ac nac omega empty")):
         # each check negates the valid range: a NaN fails every comparison
         for name, v in zip(cls._fields, (ac, nac, omega, empty)):
             if not -NEG_TOL <= v <= 1.0 + NORM_TOL:
-                raise NegativeMass(f"mass component {name}={v} outside [0, 1]")
+                raise InvalidMass(f"mass component {name}={v} outside [0, 1]")
         s = ac + nac + omega + empty
         if not abs(s - 1.0) <= NORM_TOL:
-            raise NotNormalized(f"mass components sum to {s}, expected 1")
+            raise InvalidMass(f"mass components sum to {s}, expected 1")
         return tuple.__new__(cls, (ac, nac, omega, empty))
 
 
@@ -54,11 +53,11 @@ def make_mass(ac: float, nac: float, omega: float) -> MassFunction:
     """
     for v in (ac, nac, omega):
         if not v >= -NEG_TOL:
-            raise NegativeMass(f"mass component {v} is negative or NaN")
+            raise InvalidMass(f"mass component {v} is negative or NaN")
     ac, nac, omega = max(ac, 0.0), max(nac, 0.0), max(omega, 0.0)
     s = ac + nac + omega
     if not abs(s - 1.0) <= NORM_TOL:
-        raise NotNormalized(f"mass components sum to {s}, expected 1")
+        raise InvalidMass(f"mass components sum to {s}, expected 1")
     return _mass((ac / s, nac / s, omega / s, 0.0))
 
 

@@ -5,12 +5,8 @@ class IndicatorError(Exception):
     """Base class for all library errors."""
 
 
-class NegativeMass(IndicatorError):
-    """A mass component is negative beyond numeric tolerance."""
-
-
-class NotNormalized(IndicatorError):
-    """Mass components do not sum to 1 within tolerance."""
+class InvalidMass(IndicatorError):
+    """Mass components outside [0, 1] or not summing to 1 within tolerance."""
 
 
 class ConflictPresent(IndicatorError):
@@ -30,7 +26,7 @@ class OutOfRange(IndicatorError):
 
 
 class SchemaError(IndicatorError):
-    """A report document does not conform to the canonical schema."""
+    """A report, catalog or weights document, or a value, breaks its schema."""
 
 
 class CountInconsistency(IndicatorError):
@@ -42,4 +38,4 @@ class MixedUrls(IndicatorError):
 
 
 class UnknownFrame(IndicatorError):
-    """A frame name does not match any deficiency frame or 'global'."""
+    """A frame name does not match any DeficiencyFrame member."""

@@ -12,7 +12,6 @@ import json
 from collections import namedtuple
 from enum import Enum
 from pathlib import Path
-from types import MappingProxyType
 from typing import Collection, Dict, Iterable, Mapping, Optional, Union
 
 from .errors import SchemaError, UnknownFrame
@@ -38,7 +37,6 @@ GLOBAL = DeficiencyFrame.GLOBAL
 
 #: The five scored frames in output order: the deficiency frames, then global.
 FRAMES = tuple(DeficiencyFrame)
-_frame_sets = (None, {})  # last read-only catalog (held), its frame sets
 
 
 def resolve_frame(name: str) -> DeficiencyFrame:
@@ -112,20 +110,32 @@ def _ids_in_frame(catalog: Mapping, frame: DeficiencyFrame) -> frozenset:
                      if frame is GLOBAL or frame in c.frames)
 
 
+class Catalog(dict):
+    """A read-only mapping from criterion id to CriterionSpec. `frame_ids`
+    maps each of FRAMES to its criterion ids, built once: every mutator
+    raises TypeError, so the sets cannot go stale."""
+
+    __slots__ = ("frame_ids",)
+
+    def __init__(self, criteria: Mapping[str, CriterionSpec]):
+        super().__init__(criteria)
+        self.frame_ids = {f: _ids_in_frame(self, f) for f in FRAMES}
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a Catalog is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+
 def criteria_in_frame(catalog: Mapping[str, CriterionSpec],
                       frame: DeficiencyFrame) -> frozenset:
     """Ids of the criteria in one deficiency frame, or all of them for
-    GLOBAL. The five sets of the last read-only catalog asked about (as
-    load_config returns) are kept; any other mapping is scanned."""
-    global _frame_sets
+    GLOBAL: a Catalog's own set, or a scan of any other mapping."""
     frame = resolve_frame(frame)
-    if type(catalog) is not MappingProxyType:
-        return _ids_in_frame(catalog, frame)
-    last, sets = _frame_sets  # one read, so another thread cannot mix them
-    if last is not catalog:
-        sets = {f: _ids_in_frame(catalog, f) for f in FRAMES}
-        _frame_sets = catalog, sets
-    return sets[frame]
+    if isinstance(catalog, Catalog):
+        return catalog.frame_ids[frame]
+    return _ids_in_frame(catalog, frame)
 
 
 def _unknown_keys(where: str, doc: dict, allowed: frozenset) -> SchemaError:
@@ -140,7 +150,7 @@ _WEIGHT_KEYS = {"a": "alpha_a", "aa": "alpha_aa", "aaa": "alpha_aaa"}
 _PACKAGED = Path(__file__).parent / "data" / "wcag20_criteria.json"
 
 
-def _build_catalog(entries: Iterable[dict]) -> Mapping:
+def _build_catalog(entries: Iterable[dict]) -> Catalog:
     criteria: Dict[str, CriterionSpec] = {}
     for entry in entries:
         if not isinstance(entry, dict) or not _CRITERION_KEYS.issubset(entry):
@@ -151,7 +161,7 @@ def _build_catalog(entries: Iterable[dict]) -> Mapping:
         spec = CriterionSpec(cid, entry["level"], entry["frames"])
         if criteria.setdefault(cid, spec) is not spec:
             raise SchemaError(f"duplicate criterion id {cid!r}")
-    return MappingProxyType(criteria)
+    return Catalog(criteria)
 
 
 def _decode_json(document: Union[str, bytes], what: str):
@@ -192,7 +202,7 @@ def load_config(catalog: Union[str, Path, dict, list, None] = None,
     of {"id", "level", "frames"} entries or an object {"criteria": [...],
     "weights": {...}, "thresholds": [...]}. `weights` names a file holding
     only "weights" and "thresholds", which win over overrides in the
-    catalog. Returns (catalog, weights), the catalog a read-only mapping
+    catalog. Returns (catalog, weights), the catalog a read-only Catalog
     from criterion id to CriterionSpec; bad content raises SchemaError.
     """
     if catalog is None or isinstance(catalog, (str, Path)):

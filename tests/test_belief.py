@@ -16,8 +16,7 @@ from a11yfuse.belief import (
 from a11yfuse.errors import (
     ConflictPresent,
     EmptySourceSet,
-    NegativeMass,
-    NotNormalized,
+    InvalidMass,
     OutOfRange,
     TotalConflict,
 )
@@ -49,11 +48,13 @@ class TestMakeMass:
         assert make_mass(0.0, 0.0, 1.0) == vacuous()
 
     def test_not_normalized(self):
-        with pytest.raises(NotNormalized):
+        with pytest.raises(InvalidMass, match=r"^mass components sum to "
+                                              r"0\.9, expected 1$"):
             make_mass(0.5, 0.3, 0.1)
 
     def test_negative(self):
-        with pytest.raises(NegativeMass):
+        with pytest.raises(InvalidMass, match=r"^mass component -0\.1 is "
+                                              r"negative or NaN$"):
             make_mass(-0.1, 0.6, 0.5)
 
     def test_tiny_drift_renormalized(self):
@@ -62,7 +63,7 @@ class TestMakeMass:
 
     def test_nan_rejected(self):
         # a NaN fails every comparison, so it is no negative number
-        with pytest.raises(NegativeMass,
+        with pytest.raises(InvalidMass,
                            match=r"^mass component nan is negative or NaN$"):
             make_mass(math.nan, 0.0, 1.0)
 
@@ -71,7 +72,8 @@ class TestMassFunction:
     @pytest.mark.parametrize("components", [
         (math.nan, 0.0, 1.0), (0.0, 0.0, 1.0, math.nan)], ids=str)
     def test_nan_rejected(self, components):
-        with pytest.raises(NegativeMass):
+        with pytest.raises(InvalidMass,
+                           match=r"^mass component \w+=nan outside \[0, 1\]$"):
             MassFunction(*components)
 
 
@@ -112,7 +114,7 @@ class TestDiscount:
         MassFunction(0.5, 0.5 - 1e-9 - 1e-12, 0.0, 1e-12)])
     def test_rejects_rounding_sized_conflict(self, m):
         # each is inside MassFunction's tolerances only with its conflict
-        with pytest.raises(NotNormalized):
+        with pytest.raises(InvalidMass, match=r"^mass components sum to "):
             MassFunction(m.ac, m.nac, m.omega)
         with pytest.raises(ConflictPresent):
             discount(m, 1.0)

@@ -18,7 +18,7 @@ from a11yfuse.engine import (
     score_page,
 )
 from a11yfuse.cli import main
-from a11yfuse.errors import (EmptySourceSet, MixedUrls, NegativeMass,
+from a11yfuse.errors import (EmptySourceSet, InvalidMass, MixedUrls,
                              OutOfRange, UnknownFrame)
 from a11yfuse.reports import FIXTURE_KINDS, generate_fixture, parse_report
 from a11yfuse.wcag import (
@@ -26,6 +26,7 @@ from a11yfuse.wcag import (
     GLOBAL,
     DeficiencyFrame,
     WeightConfig,
+    criteria_in_frame,
     load_config,
 )
 
@@ -213,6 +214,22 @@ class TestEstimate:
             r, DeficiencyFrame.VISUAL, catalog, w, r.total_tests).triple()
         assert math.isclose(e_ac, 4 / 10, abs_tol=1e-12)
 
+    def test_uniform_page_decisions_order_by_frame_size(self):
+        # 1 error and 9 correct of 10 tests on every packaged criterion:
+        # e_ac divides by the tests of all 61 criteria, e_nac by the frame's
+        # own, so the fewer criteria a frame holds the lower its decision
+        catalog, w = load_config()
+        doc = {"assessor": {"name": "t"}, "url": "u", "observations": [
+            {"criterion": cid, "n_err": 1, "n_ok": 9, "t_err": 10}
+            for cid in catalog]}
+        page = score_page([parse_report(doc)], catalog, w)
+        got = sorted((len(criteria_in_frame(catalog, f)),
+                      f"{page[f].decision:.3f}") for f in FRAMES)
+        assert got == [(9, "0.570"), (15, "0.689"), (38, "0.849"),
+                       (49, "0.878"), (61, "0.900")]
+        assert [page[f].level.value for f in FRAMES] == \
+            ["good", "very bad", "bad", "good", "good"]
+
 
 class TestMassesFromEstimates:
     def test_worked_normalization(self):
@@ -230,8 +247,8 @@ class TestMassesFromEstimates:
 
     def test_infinite_estimate_rejected(self):
         # inf / inf is NaN, which make_mass rejects
-        with pytest.raises(NegativeMass, match=r"^mass component nan is "
-                                               r"negative or NaN$"):
+        with pytest.raises(InvalidMass, match=r"^mass component nan is "
+                                              r"negative or NaN$"):
             masses_from_estimates((math.inf, 0.1, 0.1))
 
 
@@ -492,6 +509,20 @@ class TestScorePage:
                     FRAMES, frames_against_reference(docs, entries)):
                 assert page[frame] == got
                 assert decides_like_reference(page[frame], want)
+
+    def test_scoring_rebinds_no_module_state(self):
+        # the frame sets live on each catalog, so scoring under one catalog
+        # and then another leaves every module attribute bound as it was
+        reports = [parse_report(generate_fixture(3, kind))
+                   for kind in ("error-heavy", "potential-heavy")]
+        configs = [load_config(), load_config(ENTRIES[:40])]
+        modules = [m for name, m in sorted(sys.modules.items())
+                   if name.split(".")[0] == "a11yfuse"]
+        before = [{k: id(v) for k, v in vars(m).items()} for m in modules]
+        for catalog, w in configs:
+            score_page(reports, catalog, w)
+        assert [{k: id(v) for k, v in vars(m).items()}
+                for m in modules] == before
 
     def test_level_weights_given_equal_a_weights_file(self, tmp_path):
         # the seed-5 pair: global 0.637966 under the default weights and

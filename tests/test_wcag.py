@@ -124,9 +124,35 @@ class TestFrameSetsBuiltOnce:
             assert criteria_in_frame(catalog, name) == got
 
     def test_read_only_catalog_keeps_its_sets(self):
-        catalog = small_catalog()
+        # a query on another catalog leaves the first catalog's sets alone
+        catalog, other = small_catalog(), load_config()[0]
         first = criteria_in_frame(catalog, DeficiencyFrame.VISUAL)
+        for frame in FRAMES:
+            criteria_in_frame(other, frame)
         assert criteria_in_frame(catalog, "visual") is first
+        for c in (catalog, other):
+            for frame in FRAMES:
+                assert criteria_in_frame(c, frame) is c.frame_ids[frame]
+
+    @pytest.mark.parametrize("mutate", [
+        lambda c: c.__setitem__("c3", c["c1"]),
+        lambda c: c.__delitem__("c1"),
+        lambda c: c.__ior__({"c3": c["c1"]}),
+        lambda c: c.clear(),
+        lambda c: c.pop("c1"),
+        lambda c: c.popitem(),
+        lambda c: c.setdefault("c3", c["c1"]),
+        lambda c: c.update({"c3": c["c1"]}),
+    ], ids=["setitem", "delitem", "ior", "clear", "pop", "popitem",
+            "setdefault", "update"])
+    def test_every_mutator_raises(self, mutate):
+        catalog = small_catalog()
+        items, sets = dict(catalog), dict(catalog.frame_ids)
+        with pytest.raises(TypeError, match="^a Catalog is read-only$"):
+            mutate(catalog)
+        assert catalog == items
+        assert catalog.frame_ids == sets
+        assert all(catalog.frame_ids[f] is sets[f] for f in FRAMES)
 
     def test_two_catalogs_alternately(self):
         packaged, small = load_config()[0], small_catalog()
