@@ -7,15 +7,15 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Optional
+from typing import Callable, Dict, List, Optional
 
 from . import engine
 from .engine import FrameDecision
 from .errors import IndicatorError
 from .reports import (FIXTURE_KINDS, AssessorReport, generate_fixture,
                       parse_report)
-from .wcag import (FRAMES, DeficiencyFrame, WeightConfig, load_config,
-                   resolve_frame)
+from .wcag import (FRAMES, Catalog, DeficiencyFrame, WeightConfig,
+                   load_config, resolve_frame)
 
 Decisions = Dict[DeficiencyFrame, FrameDecision]
 _HEADER = ("URL", *(f.value.capitalize() for f in FRAMES))
@@ -113,7 +113,7 @@ def _render_explain(url: str, d: FrameDecision, ascii_mode: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _read_report(path: str, catalog: Mapping) -> AssessorReport:
+def _read_report(path: str, catalog: Catalog) -> AssessorReport:
     with open(path, "rb") as f:
         report = parse_report(f.read())
     for cid in report.observations:  # not a set: keep document order
@@ -123,7 +123,7 @@ def _read_report(path: str, catalog: Mapping) -> AssessorReport:
     return report
 
 
-def _each_page(groups: List[List[str]], catalog: Mapping, w: WeightConfig,
+def _each_page(groups: List[List[str]], catalog: Catalog, w: WeightConfig,
                frames: tuple, emit: Callable) -> bool:
     """Read, parse and score one --page group at a time in `frames`, and
     pass its URL and decisions to emit before the next group is read, so

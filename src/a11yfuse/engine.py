@@ -12,7 +12,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import namedtuple
 from enum import Enum
-from typing import Dict, Iterable, Mapping
+from typing import Dict, Iterable
 
 from . import belief
 from .belief import MassFunction
@@ -20,6 +20,7 @@ from .errors import EmptySourceSet, MixedUrls, OutOfRange, TotalConflict
 from .reports import AssessorReport
 from .wcag import (
     FRAMES,
+    Catalog,
     DeficiencyFrame,
     WeightConfig,
     alpha_for,
@@ -87,7 +88,7 @@ class FrameDecision(namedtuple(
 
 
 def estimate_parts(report: AssessorReport, frame: DeficiencyFrame,
-                   catalog: Mapping, w: WeightConfig,
+                   catalog: Catalog, w: WeightConfig,
                    tested: int) -> EstimationParts:
     """Evidence sums for one frame, with numerators and denominators split
     out; .triple() divides them, a zero denominator giving a zero term.
@@ -147,7 +148,7 @@ def discretize(d: float, w: WeightConfig) -> AccessLevel:
     return _LEVELS[bisect_right((w.s1, w.s2, w.s3, w.s4), d)]
 
 
-def score_page(reports: Iterable[AssessorReport], catalog: Mapping,
+def score_page(reports: Iterable[AssessorReport], catalog: Catalog,
                w: WeightConfig, frames: Iterable[DeficiencyFrame] = FRAMES
                ) -> Dict[DeficiencyFrame, FrameDecision]:
     """Fuse all assessors' evidence for each of `frames` and decide, keyed

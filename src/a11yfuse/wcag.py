@@ -105,21 +105,21 @@ class CriterionSpec(namedtuple("CriterionSpec", "id level frames")):
         return tuple.__new__(cls, (id, level, frames))
 
 
-def _ids_in_frame(catalog: Mapping, frame: DeficiencyFrame) -> frozenset:
-    return frozenset(cid for cid, c in catalog.items()
-                     if frame is GLOBAL or frame in c.frames)
-
-
 class Catalog(dict):
-    """A read-only mapping from criterion id to CriterionSpec. `frame_ids`
-    maps each of FRAMES to its criterion ids, built once: every mutator
-    raises TypeError, so the sets cannot go stale."""
+    """Catalog(mapping): a read-only, copyable and picklable mapping from
+    criterion id to CriterionSpec. `frame_ids` maps each of FRAMES to its
+    ids, built once: every mutator raises TypeError, so none goes stale."""
 
     __slots__ = ("frame_ids",)
 
     def __init__(self, criteria: Mapping[str, CriterionSpec]):
         super().__init__(criteria)
-        self.frame_ids = {f: _ids_in_frame(self, f) for f in FRAMES}
+        self.frame_ids = {f: frozenset(cid for cid, c in self.items()
+                                       if f is GLOBAL or f in c.frames)
+                          for f in FRAMES}
+
+    def __reduce__(self):
+        return Catalog, (dict(self),)
 
     def _read_only(self, *args, **kwargs):
         raise TypeError("a Catalog is read-only")
@@ -128,14 +128,10 @@ class Catalog(dict):
     clear = pop = popitem = setdefault = update = _read_only
 
 
-def criteria_in_frame(catalog: Mapping[str, CriterionSpec],
-                      frame: DeficiencyFrame) -> frozenset:
+def criteria_in_frame(catalog: Catalog, frame: DeficiencyFrame) -> frozenset:
     """Ids of the criteria in one deficiency frame, or all of them for
-    GLOBAL: a Catalog's own set, or a scan of any other mapping."""
-    frame = resolve_frame(frame)
-    if isinstance(catalog, Catalog):
-        return catalog.frame_ids[frame]
-    return _ids_in_frame(catalog, frame)
+    GLOBAL: the Catalog's own set, looked up, never rebuilt."""
+    return catalog.frame_ids[resolve_frame(frame)]
 
 
 def _unknown_keys(where: str, doc: dict, allowed: frozenset) -> SchemaError:
@@ -205,19 +201,19 @@ def load_config(catalog: Union[str, Path, dict, list, None] = None,
     catalog. Returns (catalog, weights), the catalog a read-only Catalog
     from criterion id to CriterionSpec; bad content raises SchemaError.
     """
-    if catalog is None or isinstance(catalog, (str, Path)):
-        catalog = _decode_json(Path(catalog or _PACKAGED).read_bytes(),
-                               "catalog")
+    doc = catalog  # a path or document here; a Catalog only once built
+    if doc is None or isinstance(doc, (str, Path)):
+        doc = _decode_json(Path(doc or _PACKAGED).read_bytes(), "catalog")
     w = WeightConfig()
-    if isinstance(catalog, dict):
-        if not _CATALOG_KEYS.issuperset(catalog):
-            raise _unknown_keys("catalog", catalog, _CATALOG_KEYS)
-        entries = catalog.get("criteria")
+    if isinstance(doc, dict):
+        if not _CATALOG_KEYS.issuperset(doc):
+            raise _unknown_keys("catalog", doc, _CATALOG_KEYS)
+        entries = doc.get("criteria")
         if not isinstance(entries, (list, tuple)):
             raise SchemaError("catalog object lacks a 'criteria' array")
-        w = _weights_from_json(catalog, w)
-    elif isinstance(catalog, list):
-        entries = catalog
+        w = _weights_from_json(doc, w)
+    elif isinstance(doc, list):
+        entries = doc
     else:
         raise SchemaError("catalog must be a JSON array or object")
     if weights:

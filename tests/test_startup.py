@@ -243,9 +243,13 @@ def test_empty_defaults_are_not_shared():
 
 def test_catalog_equality_and_read_only():
     catalog = load_config()[0]
-    assert catalog == load_config()[0] == load_config("")[0]
+    path = SRC / "a11yfuse" / "data" / "wcag20_criteria.json"
+    entries = [{"id": "1.1.1", "level": "A", "frames": ["visual"]}]
+    by_path = [load_config(p)[0] for p in (str(path), path)]
+    assert catalog == load_config()[0] == load_config("")[0] == by_path[0]
     assert catalog != load_config([])[0]
-    for loaded in (catalog, load_config([])[0]):
+    for loaded in (catalog, load_config([])[0], *by_path,
+                   load_config({"criteria": entries})[0]):
         assert type(loaded) is Catalog
         with pytest.raises(TypeError):
             loaded["1.1.1"] = SPEC

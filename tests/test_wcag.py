@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import re
 import sys
 import threading
@@ -9,6 +11,7 @@ from a11yfuse.errors import SchemaError, UnknownFrame
 from a11yfuse.wcag import (
     FRAMES,
     GLOBAL,
+    Catalog,
     ConformanceLevel,
     CriterionSpec,
     DeficiencyFrame,
@@ -85,7 +88,7 @@ class TestCriteriaInFrame:
         assert got == {"c1", "c2"}
 
     def test_empty_catalog(self):
-        assert criteria_in_frame({}, DeficiencyFrame.MOTOR) == set()
+        assert criteria_in_frame(Catalog({}), DeficiencyFrame.MOTOR) == set()
 
     def test_frame_names_resolve(self):
         assert resolve_frame("Visual") is DeficiencyFrame.VISUAL
@@ -104,7 +107,7 @@ class TestCriteriaInFrame:
 
 
 def scanned_ids(catalog, frame):
-    """criteria_in_frame as it was before it kept sets: a scan per call."""
+    """The frame rule as a scan: the reference for Catalog.frame_ids."""
     frame = resolve_frame(frame)
     if frame == GLOBAL:
         return set(catalog)
@@ -113,7 +116,7 @@ def scanned_ids(catalog, frame):
 
 class TestFrameSetsBuiltOnce:
     @pytest.mark.parametrize("make", [lambda: load_config()[0],
-                                      small_catalog, lambda: {}])
+                                      small_catalog, lambda: Catalog({})])
     def test_every_frame_as_a_scan(self, make):
         catalog = make()
         for frame in FRAMES:
@@ -157,7 +160,7 @@ class TestFrameSetsBuiltOnce:
     def test_two_catalogs_alternately(self):
         packaged, small = load_config()[0], small_catalog()
         for _ in range(3):
-            for catalog in (packaged, small, dict(small)):
+            for catalog in (packaged, small, Catalog(dict(small))):
                 for frame in FRAMES:
                     assert criteria_in_frame(catalog, frame) == \
                         scanned_ids(catalog, frame)
@@ -191,15 +194,26 @@ class TestFrameSetsBuiltOnce:
         assert not any(t.is_alive() for t in threads)
         assert wrong == []
 
-    def test_plain_dict_changed_between_calls(self):
-        catalog = dict(small_catalog())
-        assert criteria_in_frame(catalog, "hearing") == {"c2"}
-        catalog["c3"] = CriterionSpec("c3", ConformanceLevel.A,
-                                      frozenset({DeficiencyFrame.HEARING}))
-        assert criteria_in_frame(catalog, "hearing") == {"c2", "c3"}
-        del catalog["c2"]
-        assert criteria_in_frame(catalog, "hearing") == {"c3"}
-        assert criteria_in_frame(catalog, GLOBAL) == {"c1", "c3"}
+    def test_a_plain_dict_is_not_a_catalog(self):
+        catalog = small_catalog()
+        for frame in FRAMES:
+            with pytest.raises(AttributeError, match="frame_ids"):
+                criteria_in_frame(dict(catalog), frame)
+        assert Catalog(dict(catalog)).frame_ids == catalog.frame_ids
+
+    @pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy] + [
+        lambda c, p=p: pickle.loads(pickle.dumps(c, p))
+        for p in range(pickle.HIGHEST_PROTOCOL + 1)],
+        ids=["copy", "deepcopy"] + [f"pickle{p}" for p in
+                                    range(pickle.HIGHEST_PROTOCOL + 1)])
+    def test_copies_and_pickles(self, copier):
+        catalog = load_config()[0]
+        got = copier(catalog)
+        assert type(got) is Catalog and got is not catalog
+        assert got == catalog and list(got) == list(catalog)
+        assert got.frame_ids == catalog.frame_ids
+        with pytest.raises(TypeError, match="^a Catalog is read-only$"):
+            got["1.1.1"] = catalog["1.1.1"]
 
 
 class TestDefaultCatalog:
@@ -340,7 +354,7 @@ class TestCriterionSpec:
         assert spec.level is ConformanceLevel.AA == "AA"
         assert spec.frames == {DeficiencyFrame.VISUAL, DeficiencyFrame.MOTOR}
         assert {type(f) for f in spec.frames} == {DeficiencyFrame}
-        assert criteria_in_frame({"c1": spec}, "visual") == {"c1"}
+        assert criteria_in_frame(Catalog({"c1": spec}), "visual") == {"c1"}
 
     @pytest.mark.parametrize("level, frames, fault", [
         ("B", ["visual"], "'B' is not a valid ConformanceLevel"),
