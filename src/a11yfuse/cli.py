@@ -1,12 +1,19 @@
 """Command-line front end: score pages, trace intermediate values, and
-generate synthetic fixture reports."""
+generate synthetic fixture reports.
+
+A `score` or `explain` line written in full (exact option names, each
+value its own token that does not start with `-`) is read by
+`_plain_args` in one pass, without importing argparse. Every other line
+(`fixtures`, help, an abbreviated option, `--opt=value`, a value that
+starts with `-`, `--`, or a mistake) goes to `build_parser`, so help
+text and usage errors are argparse's own, with exit 2."""
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable, Dict, List, Optional
 
 from . import engine
@@ -18,6 +25,7 @@ from .wcag import (FRAMES, Catalog, DeficiencyFrame, WeightConfig,
                    load_config, resolve_frame)
 
 Decisions = Dict[DeficiencyFrame, FrameDecision]
+_FORMATS = ("table", "json", "tsv")  # score --format; the first is the default
 _HEADER = ("URL", *(f.value.capitalize() for f in FRAMES))
 
 
@@ -200,13 +208,17 @@ def cmd_fixtures(args) -> int:
 
 
 def non_negative_int(text: str) -> int:
+    import argparse  # kept off the start-up path: see build_parser
     n = int(text)
     if n < 0:
         raise argparse.ArgumentTypeError(f"must be 0 or more, got {n}")
     return n
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """The argparse parser for every command. argparse is imported here,
+    not at the top, so that a line `_plain_args` reads never loads it."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="a11yfuse",
         description="Fuse automatic accessibility-assessor reports into "
@@ -227,8 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_score = sub.add_parser("score", help="score pages from report files")
     add_common(p_score)
-    p_score.add_argument("--format", choices=("table", "json", "tsv"),
-                         default="table")
+    p_score.add_argument("--format", choices=_FORMATS, default=_FORMATS[0])
     p_score.set_defaults(func=cmd_score)
 
     p_explain = sub.add_parser(
@@ -247,12 +258,61 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _plain_args(argv: List[str]) -> Optional[SimpleNamespace]:
+    """The arguments of a `score` or `explain` line written in full, read
+    in one pass, with the fields that build_parser().parse_args(argv)
+    sets; or None for any other line, which argparse must read. Only the
+    exact option names are known, and each value is the next token, which
+    must not start with `-`. A --page group runs to the next token that
+    does."""
+    command = argv[0] if argv else None
+    if command == "score":
+        own, args = "--format", {"format": _FORMATS[0], "func": cmd_score}
+    elif command == "explain":
+        own, args = "--frame", {"frame": None, "func": cmd_explain}
+    else:
+        return None
+    args.update(command=command, catalog=None, weights=None, ascii=False,
+                page=[])
+    i, n = 1, len(argv)
+    while i < n:
+        option = argv[i]
+        if option == "--ascii":
+            args["ascii"] = True
+            i += 1
+        elif option == "--page":
+            end = i + 1
+            while end < n and not argv[end].startswith("-"):
+                end += 1
+            if end == i + 1:
+                return None
+            args["page"].append(argv[i + 1:end])
+            i = end
+        elif (option in ("--catalog", "--weights", own) and i + 1 < n
+              and not argv[i + 1].startswith("-")
+              and (option != "--format" or argv[i + 1] in _FORMATS)):
+            args[option[2:]] = argv[i + 1]
+            i += 2
+        else:
+            return None
+    # --page is required, and so is explain's --frame
+    if not args["page"] or args.get("frame", "") is None:
+        return None
+    return SimpleNamespace(**args)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _plain_args(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (IndicatorError, OSError) as exc:
         print(f"error: {_message(exc)}", file=sys.stderr)
+        return 1
+    except UnicodeEncodeError as exc:  # stdout's encoding lacks a character
+        print(f"error: cannot write output: {_message(exc)}", file=sys.stderr)
         return 1
 
 

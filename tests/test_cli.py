@@ -3,6 +3,8 @@ import copy
 import io
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import a11yfuse
-from a11yfuse.cli import main
+from a11yfuse.cli import _plain_args, build_parser, main
 from a11yfuse.engine import AccessLevel
 from a11yfuse.reports import generate_fixture
 from a11yfuse.wcag import DeficiencyFrame
@@ -962,6 +964,139 @@ class TestFixturesCommand:
         assert main(["fixtures", "--seed", "1", "--count", "0",
                      "--out", str(out)]) == 0
         assert list(out.iterdir()) == []
+
+
+def argparse_args(argv):
+    """vars() of what argparse reads from argv, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+PLAIN_VALUES = st.sampled_from(["r.json", "a b.json", "", "json", "score",
+                                "\u00e9.json"])
+ODD_TOKENS = st.sampled_from(["-h", "--help", "--", "--form", "--page=x",
+                              "--format=json", "--ascii=1", "", "-x", "-1",
+                              "-", "-x y", "--seed"])
+COMMON_OPTIONS = st.one_of(
+    st.lists(PLAIN_VALUES, max_size=3).map(lambda paths: ["--page", *paths]),
+    st.just(["--ascii"]),
+    st.tuples(st.sampled_from(["--catalog", "--weights"]), PLAIN_VALUES))
+OPTIONS = {
+    "score": st.one_of(COMMON_OPTIONS, st.tuples(
+        st.just("--format"), st.sampled_from(["table", "json", "tsv"] * 3 +
+                                             ["xml", "--frame"]))),
+    "explain": st.one_of(COMMON_OPTIONS, st.tuples(
+        st.just("--frame"), st.sampled_from(["global", "visual", "x",
+                                             "--format"])))}
+
+
+@st.composite
+def argv_lines(draw):
+    """Mostly score and explain lines written in full, with repeated
+    options and options between groups; some lack a required option or
+    hold a token that argparse alone must read."""
+    command = draw(st.sampled_from(["score", "explain"] * 4 +
+                                   ["fixtures", "-h", ""]))
+    options = draw(st.lists(OPTIONS.get(command, COMMON_OPTIONS),
+                            max_size=5))
+    required = [["--page", "r.json"]]
+    if command == "explain":
+        required.append(["--frame", "global"])
+    for option in required:
+        if draw(st.sampled_from([True] * 4 + [False])):
+            options.insert(draw(st.integers(0, len(options))), option)
+    argv = [command, *(token for option in options for token in option)]
+    if draw(st.sampled_from([True, False, False])):
+        argv.insert(draw(st.integers(1, len(argv))), draw(ODD_TOKENS))
+    return argv
+
+
+class TestPlainArgs:
+    """A score or explain line written in full is read without argparse,
+    into the same fields; every other line is left to argparse."""
+
+    def test_agrees_with_argparse(self):
+        accepted = []
+
+        @settings(max_examples=300, deadline=None)
+        @given(argv_lines())
+        def check(argv):
+            plain = _plain_args(argv)
+            if plain is not None:  # so None wherever argparse exits
+                assert vars(plain) == argparse_args(argv)
+                accepted.append(argv)
+
+        check()
+        assert len(accepted) >= 30  # the generator reaches the fast path
+
+    def test_thousand_groups(self):
+        argv = ["score", "--format", "json"]
+        for i in range(1000):
+            argv += ["--page", f"p{i}-a.json", f"p{i}-b.json"]
+            if i == 500:
+                argv.append("--ascii")
+        plain = _plain_args(argv)
+        assert len(plain.page) == 1000
+        assert vars(plain) == argparse_args(argv)
+
+    @pytest.mark.parametrize("argv", [
+        ["score", "--page"], ["score"], ["score", "--format", "json"],
+        ["score", "--page", "-r.json"], ["score", "--page", "a", "-r.json"],
+        ["score", "--format", "xml", "--page", "a"],
+        ["explain", "--page", "a"], ["explain", "--frame", "--page", "a"],
+        ["score", "--page", "a", "--", "b"], ["score", "-h"],
+        ["fixtures", "--seed", "1", "--out", "o", "--count", "-3"]])
+    def test_help_and_usage_errors_are_argparse_own(self, capsys, argv):
+        assert _plain_args(argv) is None
+        with pytest.raises(SystemExit) as through_main:
+            main(argv)
+        via_main = capsys.readouterr()
+        with pytest.raises(SystemExit) as direct:
+            build_parser().parse_args(argv)
+        assert capsys.readouterr() == via_main
+        assert through_main.value.code == direct.value.code
+        assert direct.value.code == (0 if "-h" in argv else 2)
+
+    def test_equals_form_goes_through_argparse(self, capsys, tmp_path):
+        missing = str(tmp_path / "x.json")
+        argv = ["score", f"--page={missing}"]
+        assert _plain_args(argv) is None
+        assert argparse_args(argv)["page"] == [[missing]]
+        assert run(capsys, *argv) == \
+            (1, "", f"error: {missing}: No such file or directory\n")
+
+
+class TestOutputEncoding:
+    """An output encoding that cannot hold a character gives one error:
+    line and exit 1, not a traceback."""
+
+    def cli(self, *argv):
+        env = {**os.environ, "PYTHONIOENCODING": "ascii",
+               "PYTHONPATH": str(Path(a11yfuse.__file__).parents[1])}
+        return subprocess.run([sys.executable, "-m", "a11yfuse.cli", *argv],
+                              capture_output=True, text=True, env=env)
+
+    @pytest.mark.parametrize("url, argv, code", [
+        ("https://x.test/", [], 1),                     # the arrow glyphs
+        ("https://x.test/\u00e9", ["--ascii"], 1),
+        ("https://x.test/\u00e9", ["--format", "json"], 0),
+        ("https://x.test/", ["--ascii"], 0)])
+    def test_one_error_line(self, tmp_path, url, argv, code):
+        doc = json.loads(generate_fixture(7, "balanced"))
+        report = write_json(tmp_path / "r.json", {**doc, "url": url})
+        proc = self.cli("score", *argv, "--page", report)
+        assert proc.returncode == code
+        if code == 0:
+            assert proc.stderr == ""
+            return
+        assert proc.stdout == ""
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("error: cannot write output: 'ascii' codec "
+                               "can't encode character")
 
 
 # JSON values at the edges: too large for a float, not finite, lone

@@ -41,7 +41,8 @@ from a11yfuse.wcag import (
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 HEAVY_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize",
-                 "importlib.resources", "tempfile", "shutil")
+                 "importlib.resources", "tempfile", "shutil", "argparse",
+                 "gettext", "locale")
 
 
 def test_cli_import_skips_heavy_modules():
@@ -57,24 +58,32 @@ def test_cli_import_skips_heavy_modules():
 
 
 def test_cli_runs_on_the_standard_library_alone(tmp_path):
-    # every module a fixtures, score and explain run leaves loaded, by
-    # top-level name; python -S keeps site-packages off the path
+    # every module a score, explain and fixtures run leaves loaded, by
+    # top-level name; python -S keeps site-packages off the path. A score
+    # or explain line written in full is read without argparse, which
+    # brings gettext and locale; fixtures still goes through argparse
     code = """if True:
         import sys
         sys.path.insert(0, sys.argv[1])
         from a11yfuse.cli import main
+        from a11yfuse.reports import generate_fixture
         page = sys.argv[2] + "/report-balanced-7.json"
-        codes = [main(["fixtures", "--seed", "7", "--out", sys.argv[2]]),
-                 main(["score", "--format", "json", "--page", page]),
+        with open(page, "w", encoding="utf-8") as f:
+            f.write(generate_fixture(7, "balanced"))
+        codes = [main(["score", "--format", "json", "--page", page]),
+                 main(["score", "--page", page]),
                  main(["explain", "--frame", "global", "--page", page])]
+        print([m for m in sys.argv[3:] if m in sys.modules])
+        codes.append(main(["fixtures", "--seed", "7", "--out", sys.argv[2]]))
         own = sys.stdlib_module_names | {"a11yfuse", "__main__"}
-        print(codes, sorted(m for m in sys.modules
-                            if m.partition(".")[0] not in own))
+        print(codes, "argparse" in sys.modules,
+              sorted(m for m in sys.modules
+                     if m.partition(".")[0] not in own))
     """
     proc = subprocess.run([sys.executable, "-S", "-c", code, str(SRC),
-                           str(tmp_path)],
+                           str(tmp_path), "argparse", "gettext", "locale"],
                           capture_output=True, text=True, check=True)
-    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] []"
+    assert proc.stdout.splitlines()[-2:] == ["[]", "[0, 0, 0, 0] True []"]
     assert proc.stderr == ""
 
 
