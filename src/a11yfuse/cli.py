@@ -122,7 +122,11 @@ def _render_explain(url: str, d: FrameDecision, ascii_mode: bool) -> str:
 
 
 def _read_report(path: str, catalog: Catalog) -> AssessorReport:
-    with open(path, "rb") as f:
+    try:
+        f = open(path, "rb")
+    except ValueError as exc:  # a NUL, or a character the OS cannot encode
+        raise OSError(str(exc)) from None
+    with f:
         report = parse_report(f.read())
     for cid in report.observations:  # not a set: keep document order
         if cid not in catalog:
@@ -251,7 +255,8 @@ def build_parser():
 
     p_fix = sub.add_parser("fixtures", help="generate synthetic reports")
     p_fix.add_argument("--seed", type=int, required=True)
-    p_fix.add_argument("--kind", choices=FIXTURE_KINDS, default="balanced")
+    p_fix.add_argument("--kind", choices=FIXTURE_KINDS,
+                       default=FIXTURE_KINDS[0])
     p_fix.add_argument("--count", type=non_negative_int, default=1)
     p_fix.add_argument("--out", required=True, metavar="DIR")
     p_fix.set_defaults(func=cmd_fixtures)

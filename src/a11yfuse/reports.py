@@ -66,7 +66,34 @@ class CriterionObservation(namedtuple(
                 t_likely: int = 0, t_potential: int = 0):
         self = tuple.__new__(cls, (criterion_id, n_err, n_ok, n_likely,
                                    n_potential, t_err, t_likely, t_potential))
-        _check_counts(criterion_id, self[1:])
+        if (type(criterion_id) is str and criterion_id.isascii()
+                and type(n_err) is type(n_ok) is type(n_likely)
+                is type(n_potential) is type(t_err) is type(t_likely)
+                is type(t_potential) is int
+                and 0 <= n_ok <= 2 ** 53 and 0 <= n_err <= t_err <= 2 ** 53
+                and 0 <= n_likely <= t_likely <= 2 ** 53
+                and 0 <= n_potential <= t_potential <= 2 ** 53):
+            return self
+        # the id's fault first, then the counts' first in field order
+        if not isinstance(criterion_id, str):
+            raise SchemaError(f"criterion must be a string, got "
+                              f"{criterion_id!r}")
+        where = f"criterion {criterion_id!r}"
+        if json.loads(json.dumps(criterion_id)) != criterion_id:
+            raise SchemaError(f"{where}: split surrogate pair")
+        for key, v in zip(_OBS_KEYS, self[1:]):
+            if type(v) is not int or v < 0:
+                raise SchemaError(f"{where}: {key} must be a non-negative "
+                                  f"integer, got {v!r}")
+            if v > 2 ** 53:
+                raise SchemaError(f"{where}: {key} is above 2**53, the "
+                                  f"largest exact float count")
+        for n, t, label in ((n_err, t_err, "errors"),
+                            (n_likely, t_likely, "likely problems"),
+                            (n_potential, t_potential, "potential problems")):
+            if n > t:
+                raise CountInconsistency(f"{where}: {n} {label} observed but "
+                                         f"only {t} applicable tests")
         return self
 
     @property
@@ -75,36 +102,6 @@ class CriterionObservation(namedtuple(
 
 
 _OBS_KEYS = CriterionObservation._fields[1:]
-
-
-def _check_counts(criterion_id: str, counts: tuple) -> None:
-    """Raise the id's fault, else the counts' first, in _OBS_KEYS order."""
-    n_err, n_ok, n_likely, n_potential, t_err, t_likely, t_potential = counts
-    if (type(criterion_id) is str and criterion_id.isascii() and type(n_err)
-            is type(n_ok) is type(n_likely) is type(n_potential) is type(t_err)
-            is type(t_likely) is type(t_potential) is int
-            and 0 <= n_ok <= 2 ** 53 and 0 <= n_err <= t_err <= 2 ** 53
-            and 0 <= n_likely <= t_likely <= 2 ** 53
-            and 0 <= n_potential <= t_potential <= 2 ** 53):
-        return
-    if not isinstance(criterion_id, str):
-        raise SchemaError(f"criterion must be a string, got {criterion_id!r}")
-    if json.loads(json.dumps(criterion_id)) != criterion_id:
-        raise SchemaError(f"criterion {criterion_id!r}: split surrogate pair")
-    for key, v in zip(_OBS_KEYS, counts):
-        if type(v) is not int or v < 0:
-            raise SchemaError(f"criterion {criterion_id!r}: {key} must be "
-                              f"a non-negative integer, got {v!r}")
-        if v > 2 ** 53:
-            raise SchemaError(f"criterion {criterion_id!r}: {key} is above "
-                              f"2**53, the largest exact float count")
-    for n, t, label in ((n_err, t_err, "errors"),
-                        (n_likely, t_likely, "likely problems"),
-                        (n_potential, t_potential, "potential problems")):
-        if n > t:
-            raise CountInconsistency(
-                f"criterion {criterion_id!r}: {n} {label} observed "
-                f"but only {t} applicable tests")
 
 
 _ENTRY_KEYS = frozenset(("criterion", *_OBS_KEYS))
@@ -130,14 +127,15 @@ class AssessorReport(namedtuple(
             observations = {}
         if not isinstance(observations, dict):
             raise SchemaError(f"not a dict of observations: {observations!r}")
+        total = 0
         for cid, obs in observations.items():
             if not isinstance(obs, CriterionObservation):
                 raise SchemaError(f"not a CriterionObservation: {obs!r}")
             if cid != obs.criterion_id:
                 raise SchemaError(f"observation keyed {cid!r} carries "
                                   f"criterion id {obs.criterion_id!r}")
-        return tuple.__new__(cls, (profile, url, observations, sum(
-            o.tests_run for o in observations.values())))
+            total += obs.tests_run
+        return tuple.__new__(cls, (profile, url, observations, total))
 
 
 def parse_report(document) -> AssessorReport:
@@ -145,11 +143,11 @@ def parse_report(document) -> AssessorReport:
     parsed dict). Any top-level key beyond "assessor", "url",
     "observations" and "total_tests", any key beyond "name" and the four
     coefficients in the assessor block, or beyond "criterion" and the seven
-    counts in an observation, is a SchemaError; so is any value that
-    AssessorProfile, CriterionObservation or AssessorReport rejects.
-
-    A stored total_tests field must match the tests run summed over every
-    observation entry (corruption guard), or be absent.
+    counts in an observation, is a SchemaError. The url is checked first,
+    then each value is built through its constructor (AssessorProfile, a
+    CriterionObservation per entry, then AssessorReport), which words a
+    fault as a direct call does. A stored total_tests must equal the
+    report's total_tests (a corruption guard), or be absent.
     """
     if isinstance(document, (str, bytes)):
         document = _decode_json(document, "report")
@@ -174,7 +172,6 @@ def parse_report(document) -> AssessorReport:
     profile = AssessorProfile(**assessor)
 
     observations: Dict[str, CriterionObservation] = {}
-    total = 0
     for entry in raw_obs:
         if not isinstance(entry, dict) or "criterion" not in entry:
             raise SchemaError(f"bad observation entry: {entry!r}")
@@ -182,25 +179,22 @@ def parse_report(document) -> AssessorReport:
         if not _ENTRY_KEYS.issuperset(entry):
             raise _unknown_keys(f"criterion {cid!r}", entry, _ENTRY_KEYS)
         get = entry.get
-        counts = (get("n_err", 0), get("n_ok", 0), get("n_likely", 0),
-                  get("n_potential", 0), get("t_err", 0), get("t_likely", 0),
-                  get("t_potential", 0))
-        _check_counts(cid, counts)  # first: a non-str id may be unhashable
+        obs = CriterionObservation(  # first: a non-str id may be unhashable
+            cid, get("n_err", 0), get("n_ok", 0), get("n_likely", 0),
+            get("n_potential", 0), get("t_err", 0), get("t_likely", 0),
+            get("t_potential", 0))
         if cid in observations:
             raise SchemaError(f"duplicate observation for criterion {cid!r}")
-        observations[cid] = tuple.__new__(CriterionObservation, (cid, *counts))
-        total += sum(counts[:4])  # n_err + n_ok + n_likely + n_potential
+        observations[cid] = obs
 
-    if "total_tests" in document:
-        stored = document["total_tests"]
-        if type(stored) is not int:
-            raise SchemaError(f"total_tests must be an integer, got "
-                              f"{stored!r}")
-        if stored != total:
-            raise CountInconsistency(
-                f"stored total_tests={stored} does not match the "
-                f"recomputed sum {total}")
-    return tuple.__new__(AssessorReport, (profile, url, observations, total))
+    report = AssessorReport(profile, url, observations)
+    stored = document.get("total_tests", report.total_tests)
+    if type(stored) is not int:
+        raise SchemaError(f"total_tests must be an integer, got {stored!r}")
+    if stored != report.total_tests:
+        raise CountInconsistency(f"stored total_tests={stored} does not match "
+                                 f"the recomputed sum {report.total_tests}")
+    return report
 
 
 # The canonical form is json.dumps(doc, indent=2, sort_keys=True) plus a
@@ -254,7 +248,7 @@ def _packaged_ids() -> tuple:
     return tuple(sorted(load_config()[0]))
 
 
-def generate_fixture(seed: int, profile_kind: str = "balanced") -> str:
+def generate_fixture(seed: int, profile_kind: str = FIXTURE_KINDS[0]) -> str:
     """Deterministic pseudo-random report, valid under the schema.
 
     Kinds mimic the statistical signatures of real tools: "error-heavy"

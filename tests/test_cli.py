@@ -295,6 +295,23 @@ class TestPageByPage:
             [good[0], [bad], good[1]]))
         assert (code, out, err) == (1, expected, f"error: {bad}: {error}\n")
 
+    @pytest.mark.parametrize("argv", [("score",),
+                                      ("explain", "--frame", "visual")])
+    @pytest.mark.parametrize("path, error", [
+        ("a\x00b", "error: a\\x00b: embedded null byte\n"),
+        ("\ud800", "error: \\ud800: ")], ids=["nul", "surrogate"])
+    def test_path_the_os_cannot_open_hides_no_good_page(
+            self, capsys, tmp_path, argv, path, error):
+        # open raises ValueError, not OSError, for these: a traceback, or
+        # for the surrogate "cannot write output", and the later pages lost
+        # (a command line cannot carry either path; a library caller can)
+        good = write_pages(tmp_path, (3, 1))
+        _, expected, _ = run(capsys, *argv, *page_args(good))
+        code, out, err = run(capsys, *argv, *page_args(
+            [good[0], [path], good[1]]))
+        assert (code, out) == (1, expected)
+        assert err.startswith(error) and len(err.splitlines()) == 1
+
     @staticmethod
     def _peak(argv):
         """The least traced peak of three runs after a warm-up run. A

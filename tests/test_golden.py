@@ -4,7 +4,10 @@ over 53 two-assessor fixture pages, including the three seeds (148, 359,
 reports of every kind for those seeds, score --format json under each
 way of configuring the catalog and weights, and every rendering under a
 catalog of the first 40 packaged criteria, whose skipped-criterion warning
-lines are pinned too. A refactor that keeps output byte-identical keeps
+lines are pinned too; and every rendering of six pages built value by
+value, which between them print every level in both glyph sets, a
+total-conflict cell, an empty report and a report whose every criterion the
+packaged catalog skips. A refactor that keeps output byte-identical keeps
 these hashes; a change that alters output on purpose records the new hashes
 and says why."""
 
@@ -17,7 +20,9 @@ import pytest
 
 import a11yfuse
 from a11yfuse.cli import main
-from a11yfuse.reports import generate_fixture
+from a11yfuse.reports import (AssessorProfile, AssessorReport,
+                              CriterionObservation, generate_fixture,
+                              serialize_report)
 
 SEEDS = (*range(50), 148, 359, 987)
 KINDS = ("error-heavy", "potential-heavy")
@@ -201,3 +206,90 @@ def test_fixture_bytes_unchanged(kind):
     got = _sha("".join(generate_fixture(seed, kind) for seed in SEEDS))
     assert got == FIXTURE_GOLDEN[kind], \
         f"{kind}: generated fixture reports differ from the pinned bytes"
+
+
+# Pages built value by value, so that between them they print every level
+# in both glyph sets, a total-conflict cell, an empty report and a report
+# whose every criterion the packaged catalog skips. Each assessor is
+# (name, criterion ids, counts), the same counts for each id, in the order
+# n_err n_ok n_likely n_potential t_err t_likely t_potential.
+ALL_IDS = [c["id"] for c in PACKAGED]
+VISUAL_ONLY = [c["id"] for c in PACKAGED if c["frames"] == ["visual"]]
+# Alone, visual to global: good, very bad, bad, good, good (global's exact
+# 9/10 sits on s4 but rounds below it); and very good, moderate, good,
+# very good, very good.
+ONE_ERROR = (1, 9, 0, 0, 10, 0, 0)
+ONE_POTENTIAL = (0, 9, 0, 1, 0, 0, 10)
+OUTCOME_PAGES = {
+    "errors": [("errors", ALL_IDS, ONE_ERROR)],
+    "potential": [("potential", ALL_IDS, ONE_POTENTIAL)],
+    "fused": [("errors", ALL_IDS, ONE_ERROR),
+              ("potential", ALL_IDS, ONE_POTENTIAL)],
+    # all correct against all wrong on visual-only criteria: the visual
+    # and global cells conflict, the other frames keep the first assessor
+    "conflict": [("correct", ALL_IDS, (0, 5, 0, 0, 0, 0, 0)),
+                 ("wrong", VISUAL_ONLY, (5, 0, 0, 0, 5, 0, 0))],
+    "empty": [("empty", [], ())],
+    "skipped": [("unknown", ["0.0.1", "9.9.9"], (0, 3, 0, 0, 0, 0, 0))],
+}
+
+# sha256 of stdout and of stderr, and the exit code, per rendering of the
+# outcome pages. stderr holds the two skipped-criterion warnings, with the
+# report directory cut from each path, and for score the two total-conflict
+# lines.
+WARNED = "4dc1bb0165a6e71ec45b3af3d74afdeeb256c73441804d176d0cb2fc4bff10e2"
+CONFLICTED = (
+    "a446669ea0320d63507c09a5a345850e1647b9351961588c2b9fa20ae87568a8")
+OUTCOME_GOLDEN = {
+    "score-json": (
+        "276503d8bc9ada825d1bee29c9b56fce2cc1b69efdc13b1c3e7999b24ecd32ea",
+        CONFLICTED, 1),
+    "score-table": (
+        "2ff2ac94932c0f3d339910bc550371ae620aef72eabc13782eeabc590557c161",
+        CONFLICTED, 1),
+    "score-tsv-ascii": (
+        "3acfa14177e01360125df3ee90ea89f997240324c671589b88266f80b541182a",
+        CONFLICTED, 1),
+    "explain-visual": (
+        "20cda56077d3cc6faac050adc30f85a66d72d91412ee3a11c88aab0d5efac140",
+        WARNED, 0),
+    "explain-hearing": (
+        "94bcb5e162ab01832339669810eb3e9919761dbb624fe12d4f790954097eddd0",
+        WARNED, 0),
+    "explain-motor": (
+        "cdabab78968e8a7aaf787fc915066bd2c409c5aa92c248740057b1929b1c5518",
+        WARNED, 0),
+    "explain-cognitive": (
+        "8cdf8685941974b7703a20b356aa201960dffc2c5776bd7f9b1e57e32c89ae21",
+        WARNED, 0),
+    "explain-global": (
+        "5254afb3aae07b66d4d5ef5813cfd88eb9181dd1b797535baa292eedbbd98c1b",
+        WARNED, 0),
+}
+
+
+@pytest.fixture(scope="module")
+def outcome_args(tmp_path_factory):
+    out = tmp_path_factory.mktemp("outcomes")
+    args = []
+    for page, assessors in OUTCOME_PAGES.items():
+        args.append("--page")
+        for name, ids, counts in assessors:
+            report = AssessorReport(
+                AssessorProfile(name), f"https://golden.test/{page}",
+                {cid: CriterionObservation(cid, *counts) for cid in ids})
+            path = out / f"{page}-{name}.json"
+            path.write_text(serialize_report(report), encoding="utf-8")
+            args.append(str(path))
+    return args
+
+
+@pytest.mark.parametrize("rendering", RENDERINGS)
+def test_outcome_bytes_unchanged(rendering, outcome_args, capsys):
+    code = main([*RENDERINGS[rendering], *outcome_args])
+    captured = capsys.readouterr()
+    report_dir = os.path.dirname(outcome_args[1]) + os.sep
+    got = (_sha(captured.out), _sha(captured.err.replace(report_dir, "")),
+           code)
+    assert got == OUTCOME_GOLDEN[rendering], \
+        f"{rendering}: rendered output differs from the pinned bytes"

@@ -215,6 +215,46 @@ class TestUnknownKeys:
             parse_report(doc)
 
 
+def with_url(doc, url):
+    doc["url"] = url
+    return doc
+
+
+# Documents with two faults each, and the fault reported: the url before
+# the assessor block, the assessor block before the entries, an entry's
+# keys before its counts, its counts before a duplicate id, and every
+# entry before the stored total_tests.
+TWO_FAULTS = {
+    "url-and-name": (with_url(report_doc([obs(n_ok=1)], name=5), ""),
+                     SchemaError, "url must be a non-empty string, got ''"),
+    "url-and-count": (with_url(report_doc([obs(n_ok=-1)]), None),
+                      SchemaError, "url must be a non-empty string, got None"),
+    "name-and-count": (report_doc([obs(n_ok=-1)], name=""), SchemaError,
+                       "assessor name must be a non-empty string, got ''"),
+    "entry-key-and-count": (
+        report_doc([obs(n_err=3, t_err=1, n_errs=1)]), SchemaError,
+        "criterion '1.1.1': unknown key(s) 'n_errs'"),
+    "count-then-duplicate": (
+        report_doc([obs(n_err=3, t_err=1), obs(n_ok=1)]), CountInconsistency,
+        "criterion '1.1.1': 3 errors observed but only 1 applicable tests"),
+    "duplicate-with-count": (
+        report_doc([obs(n_ok=1), obs(n_ok=-1)]), SchemaError,
+        "criterion '1.1.1': n_ok must be a non-negative integer, got -1"),
+    "duplicate-and-total": (
+        report_doc([obs(n_ok=1), obs(n_ok=1)], total=99), SchemaError,
+        "duplicate observation for criterion '1.1.1'"),
+}
+
+
+@pytest.mark.parametrize("name", TWO_FAULTS)
+@pytest.mark.parametrize("document", [dict, json.dumps])
+def test_which_fault_wins(name, document):
+    doc, error, message = TWO_FAULTS[name]
+    with pytest.raises(error) as caught:
+        parse_report(document(doc))
+    assert type(caught.value) is error and str(caught.value) == message
+
+
 class TestNamesAndIdsAreStrings:
     # each was once passed through str(): null scored as assessor "None",
     # and a criterion 1.1 matched catalog id "1.1"
@@ -276,9 +316,9 @@ def count_fault(cid, counts):
 
 
 class TestOnePassMatchesConstructor:
-    """parse_report checks each entry with CriterionObservation's checks
-    and builds it without them; both must agree on every entry, and with
-    a plain scan of the counts."""
+    """parse_report builds each entry through CriterionObservation; its
+    report or error must be the one the constructor gives entry by entry,
+    and the constructor must agree with a plain scan of the counts."""
 
     @staticmethod
     def outcome(make):
