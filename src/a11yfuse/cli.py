@@ -22,7 +22,7 @@ from .errors import IndicatorError
 from .reports import (FIXTURE_KINDS, AssessorReport, generate_fixture,
                       parse_report)
 from .wcag import (FRAMES, Catalog, DeficiencyFrame, WeightConfig,
-                   load_config, resolve_frame)
+                   _file_bytes, load_config, resolve_frame)
 
 Decisions = Dict[DeficiencyFrame, FrameDecision]
 _FORMATS = ("table", "json", "tsv")  # score --format; the first is the default
@@ -121,13 +121,15 @@ def _render_explain(url: str, d: FrameDecision, ascii_mode: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _path_error(path: str, exc) -> None:
+    """Write `error: <path>: <message>` to stderr; an OSError's message is
+    its strerror, because its own text repeats the path."""
+    message = _message(getattr(exc, "strerror", None) or exc)
+    print(f"error: {_shown(path)}: {message}", file=sys.stderr)
+
+
 def _read_report(path: str, catalog: Catalog) -> AssessorReport:
-    try:
-        f = open(path, "rb")
-    except ValueError as exc:  # a NUL, or a character the OS cannot encode
-        raise OSError(str(exc)) from None
-    with f:
-        report = parse_report(f.read())
+    report = parse_report(_file_bytes(path))
     for cid in report.observations:  # not a set: keep document order
         if cid not in catalog:
             print(f"warning: {_shown(path)}: skipping unknown criterion "
@@ -152,9 +154,7 @@ def _each_page(groups: List[List[str]], catalog: Catalog, w: WeightConfig,
             path = group[0]
             decisions = engine.score_page(reports, catalog, w, frames)
         except (IndicatorError, OSError) as exc:
-            # an OSError's own text repeats the path
-            message = _message(getattr(exc, "strerror", 0) or exc)
-            print(f"error: {_shown(path)}: {message}", file=sys.stderr)
+            _path_error(path, exc)
             ok = False
             continue
         emit(reports[0].url, decisions)
@@ -308,13 +308,14 @@ def _plain_args(argv: List[str]) -> Optional[SimpleNamespace]:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _plain_args(argv)
-    if args is None:
-        args = build_parser().parse_args(argv)
+    args = _plain_args(argv) or build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (IndicatorError, OSError) as exc:
-        print(f"error: {_message(exc)}", file=sys.stderr)
+        if getattr(exc, "filename", None) is None:
+            print(f"error: {_message(exc)}", file=sys.stderr)
+        else:  # a --catalog or --weights file
+            _path_error(exc.filename, exc)
         return 1
     except UnicodeEncodeError as exc:  # stdout's encoding lacks a character
         print(f"error: cannot write output: {_message(exc)}", file=sys.stderr)

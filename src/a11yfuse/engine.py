@@ -152,9 +152,9 @@ def score_page(reports: Iterable[AssessorReport], catalog: Catalog,
                w: WeightConfig, frames: Iterable[DeficiencyFrame] = FRAMES
                ) -> Dict[DeficiencyFrame, FrameDecision]:
     """Fuse all assessors' evidence for each of `frames` and decide, keyed
-    in the order given, each name resolved as resolve_frame does. A
-    repeated assessor name is made unique by appending #<index in the
-    page>. Only the criteria the catalog holds count."""
+    in the order given, each name resolved as resolve_frame does. Each
+    assessor name is made unique: #<index in the page> is appended while
+    an earlier one holds it. Only the criteria the catalog holds count."""
     frames = [resolve_frame(frame) for frame in frames]
     report_list = list(reports)
     if not report_list:
@@ -167,7 +167,7 @@ def score_page(reports: Iterable[AssessorReport], catalog: Catalog,
     names = set()
     for idx, report in enumerate(report_list):
         name, _, _, _, delta = report.profile
-        if name in names:
+        while name in names:
             name = f"{name}#{idx}"
         names.add(name)
         obs = report.observations

@@ -2,8 +2,8 @@
 
 The shipped catalog tags each of the 61 WCAG 2.0 success criteria with the
 deficiency categories it primarily serves; it is plain JSON data so users can
-override the mapping, the conformance-level weights and the discretization
-thresholds from a file.
+replace the mapping from a file. The conformance-level weights and the
+discretization thresholds are set apart from it, in a weights file.
 """
 
 from __future__ import annotations
@@ -139,7 +139,6 @@ def _unknown_keys(where: str, doc: dict, allowed: frozenset) -> SchemaError:
     return SchemaError(f"{where}: unknown key(s) {extra}")
 
 
-_CATALOG_KEYS = frozenset(("criteria", "weights", "thresholds"))
 _WEIGHTS_FILE_KEYS = frozenset(("weights", "thresholds"))
 _CRITERION_KEYS = frozenset(("id", "level", "frames"))
 _WEIGHT_KEYS = {"a": "alpha_a", "aa": "alpha_aa", "aaa": "alpha_aaa"}
@@ -169,10 +168,25 @@ def _decode_json(document: Union[str, bytes], what: str):
         raise SchemaError(f"{what} is not valid UTF-8 JSON: {exc}") from exc
 
 
-def _weights_from_json(doc: dict, base: WeightConfig) -> WeightConfig:
-    """Apply the level weights under "weights" and the "thresholds" list of
-    a catalog object or weights file; any other weights key is rejected,
-    and WeightConfig checks the values."""
+def _file_bytes(path: Union[str, Path]) -> bytes:
+    """The file's bytes. A path that open rejects raises OSError with path
+    as filename, also for a NUL or a character the OS cannot encode."""
+    try:
+        f = open(path, "rb")
+    except ValueError as exc:
+        raise OSError(None, str(exc), str(path)) from None
+    with f:
+        return f.read()
+
+
+def _weights_from_json(doc) -> WeightConfig:
+    """WeightConfig() with a weights file's level weights under "weights"
+    and its "thresholds" list applied; any other key is rejected, and
+    WeightConfig checks the values."""
+    if not isinstance(doc, dict):
+        raise SchemaError("weights file must be a JSON object")
+    if not _WEIGHTS_FILE_KEYS.issuperset(doc):
+        raise _unknown_keys("weights file", doc, _WEIGHTS_FILE_KEYS)
     weights = doc.get("weights", {})
     if not isinstance(weights, dict):
         raise SchemaError("weights must be a JSON object")
@@ -185,42 +199,26 @@ def _weights_from_json(doc: dict, base: WeightConfig) -> WeightConfig:
     kwargs = {attr: weights[key]
               for key, attr in _WEIGHT_KEYS.items() if key in weights}
     kwargs.update(zip(("s1", "s2", "s3", "s4"), ts))
-    return WeightConfig(**{**base._asdict(), **kwargs}) if kwargs else base
+    return WeightConfig(**kwargs)
 
 
-def load_config(catalog: Union[str, Path, dict, list, None] = None,
+def load_config(catalog: Union[str, Path, list, None] = None,
                 weights: Optional[Union[str, Path]] = None):
-    """The criterion catalog and the weights and thresholds, which default
-    to WeightConfig().
+    """(catalog, weights): a read-only Catalog from criterion id to
+    CriterionSpec, and the WeightConfig of level weights and thresholds.
 
     `catalog` is a file path, an already-parsed document, or None (or an
-    empty path) for the packaged catalog. A document is either a bare array
-    of {"id", "level", "frames"} entries or an object {"criteria": [...],
-    "weights": {...}, "thresholds": [...]}. `weights` names a file holding
-    only "weights" and "thresholds", which win over overrides in the
-    catalog. Returns (catalog, weights), the catalog a read-only Catalog
-    from criterion id to CriterionSpec; bad content raises SchemaError.
-    """
+    empty path) for the packaged catalog; a document is a JSON array of
+    {"id", "level", "frames"} entries. `weights` names a file of "weights"
+    and "thresholds", the one place to set them; without it they are
+    WeightConfig(). Bad content raises SchemaError; a file that cannot be
+    opened raises OSError with its path as filename."""
     doc = catalog  # a path or document here; a Catalog only once built
     if doc is None or isinstance(doc, (str, Path)):
-        doc = _decode_json(Path(doc or _PACKAGED).read_bytes(), "catalog")
-    w = WeightConfig()
-    if isinstance(doc, dict):
-        if not _CATALOG_KEYS.issuperset(doc):
-            raise _unknown_keys("catalog", doc, _CATALOG_KEYS)
-        entries = doc.get("criteria")
-        if not isinstance(entries, (list, tuple)):
-            raise SchemaError("catalog object lacks a 'criteria' array")
-        w = _weights_from_json(doc, w)
-    elif isinstance(doc, list):
-        entries = doc
-    else:
-        raise SchemaError("catalog must be a JSON array or object")
-    if weights:
-        doc = _decode_json(Path(weights).read_bytes(), "weights file")
-        if not isinstance(doc, dict):
-            raise SchemaError("weights file must be a JSON object")
-        if not _WEIGHTS_FILE_KEYS.issuperset(doc):
-            raise _unknown_keys("weights file", doc, _WEIGHTS_FILE_KEYS)
-        w = _weights_from_json(doc, w)
-    return _build_catalog(entries), w
+        doc = _decode_json(_file_bytes(doc or _PACKAGED), "catalog")
+    if not isinstance(doc, list):
+        raise SchemaError("catalog must be a JSON array of criteria; weights "
+                          "and thresholds go in a weights file")
+    w = (_weights_from_json(_decode_json(_file_bytes(weights), "weights file"))
+         if weights else WeightConfig())
+    return _build_catalog(doc), w

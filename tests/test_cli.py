@@ -473,7 +473,7 @@ class TestConfigErrors:
                              "--page", *fixture_pair)
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
-    @pytest.mark.parametrize("flag", ("--weights", "--catalog"))
+    @pytest.mark.parametrize("flag", ["--weights"])  # only it sets weights
     @pytest.mark.parametrize("doc", [
         {"weights": {"aa": "0.7"}},
         {"thresholds": ["0.5", "0.6", "0.7", "0.8"]},
@@ -481,8 +481,6 @@ class TestConfigErrors:
     ])
     def test_weights_must_be_json_numbers_exit_1(self, capsys, tmp_path,
                                                  fixture_pair, flag, doc):
-        if flag == "--catalog":
-            doc = {"criteria": [ONE_CRITERION], **doc}
         path = write_json(tmp_path / "config.json", doc)
         code, out, err = run(capsys, "score", flag, path,
                              "--page", *fixture_pair)
@@ -491,17 +489,63 @@ class TestConfigErrors:
         assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("doc, message", [
-        ({"criteria": [ONE_CRITERION], "threshold": [0.5, 0.6, 0.7, 0.8]},
-         "catalog: unknown key(s) 'threshold'"),
         ([{**ONE_CRITERION, "alpha": 0.01}],
          "criterion '1.1.1': unknown key(s) 'alpha'"),
-    ], ids=["catalog", "criterion"])
+    ], ids=["criterion"])
     def test_unknown_catalog_key_exit_1(self, capsys, tmp_path, fixture_pair,
                                         doc, message):
         path = write_json(tmp_path / "catalog.json", doc)
         code, out, err = run(capsys, "score", "--catalog", path,
                              "--page", *fixture_pair)
         assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv", [("score",),
+                                      ("explain", "--frame", "visual")])
+    @pytest.mark.parametrize("weights", [None, {"weights": {"aa": 0.7}}],
+                             ids=["no-weights-file", "weights-file"])
+    @pytest.mark.parametrize("extra", [
+        {}, {"weights": {"aa": 0.7}},
+        {"thresholds": [0.5, 0.6, 0.7, 0.8]}, {"threshold": 1}],
+        ids=["criteria", "weights", "thresholds", "unknown-key"])
+    def test_object_catalog_exit_1(self, capsys, tmp_path, fixture_pair,
+                                   argv, weights, extra):
+        # a catalog file holds criteria only: the object form that also
+        # set weights and thresholds is gone, and says where they go now
+        catalog = write_json(tmp_path / "catalog.json",
+                             {"criteria": [ONE_CRITERION], **extra})
+        options = ["--catalog", catalog]
+        if weights:
+            options += ["--weights", write_json(tmp_path / "w.json", weights)]
+        code, out, err = run(capsys, *argv, *options, "--page", *fixture_pair)
+        assert (code, out, err) == (
+            1, "", "error: catalog must be a JSON array of criteria; weights "
+                   "and thresholds go in a weights file\n")
+
+    @pytest.mark.parametrize("flag", ["--catalog", "--weights"])
+    @pytest.mark.parametrize("kind", ["missing", "directory", "nul",
+                                      "surrogate"])
+    def test_config_file_fault_names_the_path_exit_1(
+            self, capsys, tmp_path, fixture_pair, flag, kind):
+        # once `error: [Errno 2] ...: '<path>'`, a ValueError traceback for
+        # the NUL, and `cannot write output` for the surrogate, which names
+        # stdout (a command line cannot carry the last two; a library can)
+        path, line = {
+            "missing": (str(tmp_path / "nope.json"),
+                        f"error: {tmp_path / 'nope.json'}: "
+                        f"No such file or directory\n"),
+            "directory": (str(tmp_path),
+                          f"error: {tmp_path}: Is a directory\n"),
+            "nul": ("a\x00b", "error: a\\x00b: embedded null byte\n"),
+            "surrogate": ("\ud800", "error: \\ud800: "),
+        }[kind]
+        code, out, err = run(capsys, "score", flag, path,
+                             "--page", *fixture_pair)
+        assert (code, out) == (1, "")
+        assert err.startswith(line) and len(err.splitlines()) == 1
+        if kind == "surrogate":
+            assert "codec can't encode character '\\ud800'" in err
+        else:
+            assert err == line
 
     @pytest.mark.parametrize("entry", [
         "1.1.1", None, 5, ["id"], {"id": "1.1.1", "level": "A"}],
@@ -905,6 +949,27 @@ class TestExplain:
                              "--page", *paths)
         per_source = json.loads(json_out)["frames"]["visual"]["per_source"]
         assert labels == list(per_source) == ["same-tool", "same-tool#1"]
+
+    def test_made_up_name_collides_with_no_given_one(self, capsys, tmp_path):
+        # the third `a` once became `a#2`, the second report's own name, and
+        # JSON per_source kept one of the two sources
+        paths = []
+        for i, (name, kind) in enumerate((("a", "error-heavy"),
+                                          ("a#2", "potential-heavy"),
+                                          ("a", "balanced"))):
+            doc = json.loads(generate_fixture(7, kind))
+            doc["assessor"]["name"] = name
+            doc["url"] = "https://x.test/"
+            paths.append(write_json(tmp_path / f"{i}.json", doc))
+        _, out, _ = run(capsys, "explain", "--frame", "visual",
+                        "--page", *paths)
+        labels = [line.split()[1] for line in out.splitlines()
+                  if line.startswith("  assessor ")]
+        _, json_out, _ = run(capsys, "score", "--format", "json",
+                             "--page", *paths)
+        for frame in json.loads(json_out)["frames"].values():
+            assert list(frame["per_source"]) == ["a", "a#2", "a#2#2"]
+        assert labels == ["a", "a#2", "a#2#2"]
 
     def test_unknown_frame_exit_1(self, capsys, fixture_pair):
         code, _, err = run(capsys, "explain", "--frame", "auditory",

@@ -39,12 +39,18 @@ ENTRIES = json.loads((ROOT / "src" / "a11yfuse" / "data" /
                       "wcag20_criteria.json").read_text(encoding="utf-8"))
 
 
+def level_weights(weights=None):
+    """The WeightConfig of level-weight overrides {"a", "aa", "aaa"}, as a
+    weights file's "weights" object sets them."""
+    weights = weights or {}
+    return WeightConfig(**{f"alpha_{k}": v for k, v in weights.items()})
+
+
 def one_criterion_catalog(weights=None):
     """(catalog, weights) of one level-A visual criterion; `weights` holds
-    level-weight overrides as in a catalog file."""
-    return load_config({"criteria": [{"id": "c1", "level": "A",
-                                      "frames": ["visual"]}],
-                        "weights": weights or {}})
+    level-weight overrides {"a", "aa", "aaa"}."""
+    return (load_config([{"id": "c1", "level": "A", "frames": ["visual"]}])[0],
+            level_weights(weights))
 
 
 def report_for(n_ok=0, n_err=0, n_likely=0, n_potential=0,
@@ -68,7 +74,7 @@ def frames_against_reference(docs, entries, weights=None):
     `entries` and optional level weights {"a", "aa", "aaa"}, and with
     bench/reference.py under the same catalog. Returns a (FrameDecision,
     reference FrameRef) pair per frame, in FRAMES order."""
-    catalog, w = load_config({"criteria": entries, "weights": weights or {}})
+    catalog, w = load_config(entries)[0], level_weights(weights)
     alpha = ({level: weights[level.lower()] for level in ref.ALPHA}
              if weights else ref.ALPHA)
     reports = [parse_report(doc) for doc in docs]
@@ -548,7 +554,7 @@ class TestScorePage:
         catalog = load_config(ENTRIES)[0]
         globals_ = set()
         for weights in ({}, {"a": 0.9, "aa": 0.5, "aaa": 0.1}):
-            w = load_config({"criteria": [], "weights": weights})[1]
+            w = level_weights(weights)
             page = score_page(reports, catalog, w)
             for frame, (got, want) in zip(
                     FRAMES, frames_against_reference(docs, ENTRIES, weights)):
@@ -665,3 +671,20 @@ class TestWeightConsistency:
                 estimate_parts(r, DeficiencyFrame.VISUAL, catalog, w,
                                r.total_tests).triple()))
         assert masses_close(masses[0], masses[1], 1e-12)
+
+
+def test_readme_library_example_runs(tmp_path, capsys):
+    # the first python block of README.md, run as written with `paths`
+    # bound to one fixture pair, prints the page's global decision
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    code = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    paths = []
+    for kind in ("error-heavy", "potential-heavy"):
+        path = tmp_path / f"{kind}.json"
+        path.write_text(generate_fixture(7, kind), encoding="utf-8")
+        paths.append(str(path))
+    exec(compile(code, "README.md", "exec"), {"paths": paths})
+    catalog, w = load_config()
+    d = score_page([parse_report(Path(p).read_bytes()) for p in paths],
+                   catalog, w)[GLOBAL]
+    assert capsys.readouterr().out == f"{d.decision} {d.level.glyph}\n"

@@ -132,8 +132,8 @@ class TestParse:
 
     def test_skipping_warns_nothing(self):
         # the CLI prints the ids the catalog lacks; the library is quiet
-        catalog, w = load_config({"criteria": [
-            {"id": "1.1.1", "level": "A", "frames": ["visual"]}]})
+        catalog, w = load_config([
+            {"id": "1.1.1", "level": "A", "frames": ["visual"]}])
         doc = report_doc([obs("1.4.3", n_ok=1), obs("1.1.1", n_ok=2)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")

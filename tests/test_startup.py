@@ -5,8 +5,10 @@ read-only mapping, so importing the package needs neither dataclasses nor
 importlib.resources and what those pull in.
 """
 
+import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -164,6 +166,15 @@ def _report(name="t", url="u", criterion="1.1.1"):
             "observations": [{"criterion": criterion, "n_ok": 1}]}
 
 
+def load_weights(doc) -> WeightConfig:
+    """The WeightConfig that load_config reads from a weights file holding
+    the JSON document doc."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "weights.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return load_config([], path)[1]
+
+
 VISUAL = frozenset({DeficiencyFrame.VISUAL})
 # each constructor call, and the document its loader reads the same value
 # from: both must raise the same SchemaError
@@ -186,14 +197,11 @@ SAME_AS_LOADER = {
         lambda: parse_report(_report(criterion="\ud800\udfff"))),
     "threshold-str": (
         lambda: WeightConfig(s1="0.5"),
-        lambda: load_config({"criteria": [],
-                             "thresholds": ["0.5", 0.7, 0.8, 0.9]})),
+        lambda: load_weights({"thresholds": ["0.5", 0.7, 0.8, 0.9]})),
     "weight-bool": (lambda: WeightConfig(alpha_a=True),
-                    lambda: load_config({"criteria": [],
-                                         "weights": {"a": True}})),
+                    lambda: load_weights({"weights": {"a": True}})),
     "weight-huge": (lambda: WeightConfig(alpha_a=10 ** 400),
-                    lambda: load_config({"criteria": [],
-                                         "weights": {"a": 10 ** 400}})),
+                    lambda: load_weights({"weights": {"a": 10 ** 400}})),
     "catalog-id-int": (
         lambda: CriterionSpec(5, ConformanceLevel.A, VISUAL),
         lambda: load_config([{"id": 5, "level": "A",
@@ -225,8 +233,8 @@ def test_constructor_rejects_what_its_loader_rejects(build, load):
 
 def test_weights_are_stored_as_floats():
     ints = {"alpha_a": 1, "alpha_aa": 1, "alpha_aaa": 1}
-    w = load_config({"criteria": [], "weights": {"a": 1, "aa": 1, "aaa": 1},
-                     "thresholds": [0.1, 0.2, 0.3, 0.4]})[1]
+    w = load_weights({"weights": {"a": 1, "aa": 1, "aaa": 1},
+                      "thresholds": [0.1, 0.2, 0.3, 0.4]})
     assert w == WeightConfig(**ints, s1=0.1, s2=0.2, s3=0.3, s4=0.4) == \
         (1.0, 1.0, 1.0, 0.1, 0.2, 0.3, 0.4)
     for built in (w, WeightConfig(**ints)):
@@ -258,7 +266,7 @@ def test_catalog_equality_and_read_only():
     assert catalog == load_config()[0] == load_config("")[0] == by_path[0]
     assert catalog != load_config([])[0]
     for loaded in (catalog, load_config([])[0], *by_path,
-                   load_config({"criteria": entries})[0]):
+                   load_config(entries)[0]):
         assert type(loaded) is Catalog
         with pytest.raises(TypeError):
             loaded["1.1.1"] = SPEC

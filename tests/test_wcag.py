@@ -240,19 +240,6 @@ class TestDefaultCatalog:
 
 
 class TestLoading:
-    def test_object_with_overrides(self, tmp_path):
-        doc = {
-            "criteria": [{"id": "c1", "level": "A", "frames": ["motor"]}],
-            "weights": {"a": 1.0, "aa": 0.7, "aaa": 0.4},
-            "thresholds": [0.5, 0.6, 0.7, 0.8],
-        }
-        path = tmp_path / "catalog.json"
-        path.write_text(json.dumps(doc))
-        catalog, w = load_config(path)
-        assert w.alpha_aa == 0.7
-        assert (w.s1, w.s2, w.s3, w.s4) == (0.5, 0.6, 0.7, 0.8)
-        assert alpha_for(w)[catalog["c1"].level] == 1.0
-
     def test_duplicate_id_rejected(self):
         doc = [{"id": "c1", "level": "A", "frames": ["visual"]},
                {"id": "c1", "level": "AA", "frames": ["motor"]}]
@@ -273,9 +260,11 @@ class TestLoading:
         with pytest.raises(SchemaError, match=r"\bc1\b"):
             load_config([{"id": "c1", "level": "A", "frames": frames}])
 
-    def test_bad_thresholds_rejected(self):
-        with pytest.raises(SchemaError):
-            load_config({"criteria": [], "thresholds": [0.9, 0.8, 0.7, 0.6]})
+    def test_bad_thresholds_rejected(self, tmp_path):
+        path = tmp_path / "weights.json"
+        path.write_text(json.dumps({"thresholds": [0.9, 0.8, 0.7, 0.6]}))
+        with pytest.raises(SchemaError, match="^thresholds must satisfy "):
+            load_config(None, path)
 
     @pytest.mark.parametrize("frames", [
         {"visual": True, "motor": False}, "visual", None, 7])
@@ -315,19 +304,28 @@ class TestLoadConfig:
         assert w.alpha_aa == 0.7
         assert alpha_for(w)[catalog["1.4.3"].level] == 0.7
 
-    def test_weights_file_wins_over_catalog_overrides(self, tmp_path):
-        cpath = self.write(tmp_path, "c.json", {
-            "criteria": [{"id": "c1", "level": "AA", "frames": ["motor"]}],
-            "weights": {"aa": 0.7}, "thresholds": [0.5, 0.6, 0.7, 0.8]})
-        wpath = self.write(tmp_path, "w.json", {"weights": {"aa": 0.65}})
-        catalog, w = load_config(cpath, wpath)
-        assert alpha_for(w)[catalog["c1"].level] == w.alpha_aa == 0.65
-        assert (w.s1, w.s2, w.s3, w.s4) == (0.5, 0.6, 0.7, 0.8)
-
     def test_catalog_criteria_must_be_an_array(self, tmp_path):
         cpath = self.write(tmp_path, "c.json", {"criteria": 5})
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError, match="^catalog must be a JSON array"):
             load_config(cpath, None)
+
+    @pytest.mark.parametrize("doc", [
+        {"criteria": [{"id": "c1", "level": "A", "frames": ["motor"]}],
+         "weights": {"aa": 0.7}}, 5, None], ids=["object", "number", "null"])
+    def test_only_an_array_is_a_catalog(self, tmp_path, doc):
+        # weights and thresholds are set in a weights file only, so a
+        # catalog document that is not an array says where they go
+        message = ("catalog must be a JSON array of criteria; weights and "
+                   "thresholds go in a weights file")
+        cpath = self.write(tmp_path, "c.json", doc)
+        wpath = self.write(tmp_path, "w.json", {"weights": {"aa": 0.7}})
+        calls = [(cpath,), (cpath, wpath)]
+        if doc is not None:  # None as an argument is the packaged catalog
+            calls.append((doc,))
+        for args in calls:
+            with pytest.raises(SchemaError) as raised:
+                load_config(*args)
+            assert str(raised.value) == message
 
     def test_not_utf8(self, tmp_path):
         cpath = tmp_path / "c.json"
