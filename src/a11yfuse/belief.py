@@ -102,8 +102,9 @@ def combine_conjunctive(a: MassFunction, b: MassFunction) -> MassFunction:
 def combine_all(sources: Iterable[MassFunction]) -> MassFunction:
     """Left fold of the conjunctive rule over an ordered collection.
 
-    The rule is commutative and associative, so the result is independent of
-    the input order.
+    The rule is commutative and associative exactly. The fold rounds after
+    each step, so in floats the result can differ in its last bits with the
+    input order.
     """
     masses = list(sources)
     if not masses:

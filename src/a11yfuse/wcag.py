@@ -208,7 +208,7 @@ def load_config(catalog: Union[str, Path, list, None] = None,
     CriterionSpec, and the WeightConfig of level weights and thresholds.
 
     `catalog` is a file path, an already-parsed document, or None (or an
-    empty path) for the packaged catalog; a document is a JSON array of
+    empty string) for the packaged catalog; a document is a JSON array of
     {"id", "level", "frames"} entries. `weights` names a file of "weights"
     and "thresholds", the one place to set them; without it they are
     WeightConfig(). Bad content raises SchemaError; a file that cannot be
