@@ -13,13 +13,7 @@ from collections import namedtuple
 from functools import partial, reduce
 from typing import Iterable
 
-from .errors import (
-    ConflictPresent,
-    EmptySourceSet,
-    InvalidMass,
-    OutOfRange,
-    TotalConflict,
-)
+from .errors import EmptySourceSet, InvalidMass, OutOfRange, TotalConflict
 
 NORM_TOL = 1e-9
 NEG_TOL = 1e-12
@@ -70,15 +64,15 @@ def discount(m: MassFunction, delta: float) -> MassFunction:
     """Weaken a source's committed masses by its reliability delta in
     [0, 1].
 
-    The removed mass is transferred to the whole frame. Only conflict-free
-    masses (an empty-set mass of exactly 0) may be discounted, before fusion.
+    Every focal set other than the whole frame, the empty set included,
+    keeps delta of its mass; the removed mass is transferred to the whole
+    frame.
     """
     if not 0.0 <= delta <= 1.0:
         raise OutOfRange(f"reliability {delta} outside [0, 1]")
     ac, nac, omega, empty = m
-    if empty != 0.0:  # dropping even a rounding-sized one unbalances the sum
-        raise ConflictPresent("cannot discount a mass carrying conflict")
-    return _mass((delta * ac, delta * nac, 1.0 - delta * (1.0 - omega), 0.0))
+    return _mass((delta * ac, delta * nac, 1.0 - delta * (1.0 - omega),
+                  delta * empty))
 
 
 def combine_conjunctive(a: MassFunction, b: MassFunction) -> MassFunction:

@@ -9,10 +9,6 @@ class InvalidMass(IndicatorError):
     """Mass components outside [0, 1] or not summing to 1 within tolerance."""
 
 
-class ConflictPresent(IndicatorError):
-    """Discounting applied to a mass that already carries conflict."""
-
-
 class EmptySourceSet(IndicatorError):
     """Fusion requested over zero sources."""
 

@@ -14,7 +14,6 @@ from a11yfuse.belief import (
     vacuous,
 )
 from a11yfuse.errors import (
-    ConflictPresent,
     EmptySourceSet,
     InvalidMass,
     OutOfRange,
@@ -106,20 +105,16 @@ class TestDiscount:
         m = discount(make_mass(0.7, 0.3, 0.0), 0.0)
         assert m == pytest.approx(vacuous(), abs=1e-12)
 
-    def test_rejects_conflict(self):
-        conflicted = MassFunction(0.3, 0.3, 0.2, 0.2)
-        with pytest.raises(ConflictPresent):
-            discount(conflicted, 0.5)
-
-    @pytest.mark.parametrize("m", [
-        MassFunction(0.5, 0.5 + 1e-9 + 5e-13, 0.0, -6e-13),
-        MassFunction(0.5, 0.5 - 1e-9 - 1e-12, 0.0, 1e-12)])
-    def test_rejects_rounding_sized_conflict(self, m):
-        # each is inside MassFunction's tolerances only with its conflict
-        with pytest.raises(InvalidMass, match=r"^mass components sum to "):
-            MassFunction(m.ac, m.nac, m.omega)
-        with pytest.raises(ConflictPresent):
-            discount(m, 1.0)
+    @pytest.mark.parametrize("m, delta", [
+        (MassFunction(0.3, 0.3, 0.2, 0.2), 0.5),
+        (MassFunction(0.5, 0.5 + 1e-9 + 5e-13, 0.0, -6e-13), 1.0),
+        (MassFunction(0.5, 0.5 - 1e-9 - 1e-12, 0.0, 1e-12), 1.0)])
+    def test_keeps_delta_of_conflict(self, m, delta):
+        # the last two pass MassFunction's sum check only with their conflict
+        got = discount(m, delta)
+        assert got == (delta * m.ac, delta * m.nac,
+                       1.0 - delta * (1.0 - m.omega), delta * m.empty)
+        assert MassFunction(*got) == got
 
     def test_reliability_range(self):
         with pytest.raises(OutOfRange):
@@ -259,7 +254,7 @@ def checked_make_mass(ac, nac, omega):
 
 def checked_discount(m, delta):
     return MassFunction(delta * m.ac, delta * m.nac,
-                        1.0 - delta * (1.0 - m.omega), 0.0)
+                        1.0 - delta * (1.0 - m.omega), delta * m.empty)
 
 
 def checked_combine(a, b):
@@ -325,7 +320,7 @@ class TestResultsCheckedOnce:
         assert same_bits(got, checked_make_mass(*t))
         assert MassFunction(*got) == got
 
-    @given(CONFLICT_FREE, UNIT)
+    @given(ANY_MASS, UNIT)
     def test_discount(self, m, delta):
         got = discount(m, delta)
         assert same_bits(got, checked_discount(m, delta))
@@ -342,3 +337,16 @@ class TestResultsCheckedOnce:
         got = combine_conjunctive(*pair)
         assert same_bits(got, checked_combine(*pair))
         assert MassFunction(*got) == got
+
+    def test_edge_of_tolerances_passes_unchecked(self):
+        # a mass built at the edge of MassFunction's tolerances can give a
+        # result just outside them, which is not rejected (README, "Library")
+        edge = MassFunction(-1e-12, 0.0, 1.0 + 1e-12)
+        fused = combine_conjunctive(edge, edge)
+        assert fused.ac == -2.0000000000009996e-12
+        discounted = discount(MassFunction(0.0, 1.0, -1e-12), 1.0)
+        assert discounted.omega == -1.000088900582341e-12
+        for got in (fused, discounted):
+            with pytest.raises(InvalidMass,
+                               match=r"^mass component \w+=-\S+e-12 outside"):
+                MassFunction(*got)

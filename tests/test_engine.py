@@ -20,7 +20,14 @@ from a11yfuse.engine import (
 from a11yfuse.cli import main
 from a11yfuse.errors import (EmptySourceSet, InvalidMass, MixedUrls,
                              OutOfRange, UnknownFrame)
-from a11yfuse.reports import FIXTURE_KINDS, generate_fixture, parse_report
+from a11yfuse.reports import (
+    FIXTURE_KINDS,
+    AssessorProfile,
+    AssessorReport,
+    CriterionObservation,
+    generate_fixture,
+    parse_report,
+)
 from a11yfuse.wcag import (
     FRAMES,
     GLOBAL,
@@ -328,6 +335,23 @@ class TestScoreFrame:
                           (VISUAL,))[VISUAL]
         assert math.isclose(both.decision, alone.decision, abs_tol=1e-12)
         assert both.sources[1].discounted == vacuous()
+        # an empty report, first or last, beside a fixture pair: the fused
+        # bits may move in the last place, the printed cell may not
+        catalog, w = load_config()
+        for seed in range(20):
+            pair = [parse_report(generate_fixture(seed, kind))
+                    for kind in ("error-heavy", "potential-heavy")]
+            empty = AssessorReport(AssessorProfile("silent"), pair[0].url)
+            want = score_page(pair, catalog, w)
+            for reports, at in (([empty, *pair], 0), ([*pair, empty], -1)):
+                page = score_page(reports, catalog, w)
+                for frame in FRAMES:
+                    got = page[frame]
+                    assert (f"{got.decision:.3f}", got.level) == (
+                        f"{want[frame].decision:.3f}", want[frame].level)
+                    assert got.fused == pytest.approx(want[frame].fused,
+                                                      abs=1e-12)
+                    assert got.sources[at].discounted == vacuous()
 
     def test_source_order_invariance(self):
         # a float fold may differ in the last bits with the report order;
@@ -651,6 +675,50 @@ class TestMonotonicity:
         d_lo = pignistic(masses_from_estimates((e_lo, e_nac, e_om)))
         d_hi = pignistic(masses_from_estimates((e_hi, e_nac, e_om)))
         assert d_hi > d_lo
+
+    # Three properties today's estimator lacks (README, "Library"). Each
+    # test pins one fixture report's decision before and after a bump.
+    def test_one_more_error_can_raise_the_decision(self):
+        """An error on an AAA criterion, weighted below the frame's error
+        rate, lowers e_nac: num_nac is weighted and den_nac is not.
+        ROADMAP item 5, one rule for the estimator's denominators, would
+        change this."""
+        assert bumped_decisions(
+            58, "error-heavy", DeficiencyFrame.HEARING, "1.2.6",
+            n_err=1, t_err=1) == pytest.approx((0.151382, 0.177004), abs=1e-6)
+
+    def test_one_more_correct_check_can_lower_the_decision(self):
+        """A correct check on an AAA criterion adds 0.6 to num_ac and 1 to
+        `tested`, so it lowers e_ac when e_ac is above 0.6. ROADMAP item 5,
+        one rule for the estimator's denominators, would change this."""
+        assert bumped_decisions(
+            257, "potential-heavy", GLOBAL, "1.2.7",
+            n_ok=1) == pytest.approx((0.732429, 0.732408), abs=1e-6)
+
+    def test_checks_outside_the_frame_move_its_decision(self):
+        """1.2.2 is a hearing criterion only; its tests still count in
+        `tested`, e_ac's denominator in every frame. ROADMAP item 5,
+        one rule for the estimator's denominators, would change this."""
+        assert "1.2.2" not in criteria_in_frame(load_config()[0], VISUAL)
+        assert bumped_decisions(
+            0, "error-heavy", VISUAL, "1.2.2",
+            n_ok=3) == pytest.approx((0.458129, 0.456453), abs=1e-6)
+
+
+def bumped_decisions(seed, kind, frame, cid, **more):
+    """The one-report decision in `frame` of fixture `seed` of `kind`,
+    under the packaged catalog, before and after `more` is added to the
+    counts of criterion `cid` (an empty observation if it has none)."""
+    catalog, w = load_config()
+    report = parse_report(generate_fixture(seed, kind))
+    observations = dict(report.observations)
+    counts = observations.get(cid, CriterionObservation(cid))._asdict()
+    for key, n in more.items():
+        counts[key] += n
+    observations[cid] = CriterionObservation(**counts)
+    bumped = AssessorReport(report.profile, report.url, observations)
+    return tuple(score_page([r], catalog, w, (frame,))[frame].decision
+                 for r in (report, bumped))
 
 
 class TestWeightConsistency:
