@@ -23,16 +23,18 @@ class MassFunction(namedtuple("MassFunction", "ac nac omega empty")):
     """Basic belief assignment over {Ac, NotAc, Omega, Empty}."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))  # so _replace checks too
 
     def __new__(cls, ac: float, nac: float, omega: float, empty: float = 0.0):
+        lo, hi, s = -NEG_TOL, 1.0 + NORM_TOL, ac + nac + omega + empty
+        if (lo <= ac <= hi and lo <= nac <= hi and lo <= omega <= hi
+                and lo <= empty <= hi and abs(s - 1.0) <= NORM_TOL):
+            return tuple.__new__(cls, (ac, nac, omega, empty))
         # each check negates the valid range: a NaN fails every comparison
         for name, v in zip(cls._fields, (ac, nac, omega, empty)):
-            if not -NEG_TOL <= v <= 1.0 + NORM_TOL:
+            if not lo <= v <= hi:
                 raise InvalidMass(f"mass component {name}={v} outside [0, 1]")
-        s = ac + nac + omega + empty
-        if not abs(s - 1.0) <= NORM_TOL:
-            raise InvalidMass(f"mass components sum to {s}, expected 1")
-        return tuple.__new__(cls, (ac, nac, omega, empty))
+        raise InvalidMass(f"mass components sum to {s}, expected 1")
 
 
 # unchecked, for results of checked inputs; tests/test_belief.py shows why
@@ -40,18 +42,15 @@ _mass = partial(tuple.__new__, MassFunction)
 
 
 def make_mass(ac: float, nac: float, omega: float) -> MassFunction:
-    """Build a conflict-free mass function from a normalized triple.
-
-    Tiny negative drift (within 1e-12) is clamped to zero and the triple is
-    rescaled to sum exactly to 1; anything larger is rejected.
+    """Build a conflict-free mass function from a triple that MassFunction
+    accepts, raising its InvalidMass otherwise. Tiny negative drift (within
+    1e-12) is clamped to zero and the triple is rescaled to sum exactly to 1.
     """
-    for v in (ac, nac, omega):
-        if not v >= -NEG_TOL:
-            raise InvalidMass(f"mass component {v} is negative or NaN")
-    ac, nac, omega = max(ac, 0.0), max(nac, 0.0), max(omega, 0.0)
+    MassFunction(ac, nac, omega)
+    # max(v, 0.0)'s values, without its call: this runs per source and frame
+    ac, nac, omega = (ac if ac >= 0.0 else 0.0, nac if nac >= 0.0 else 0.0,
+                      omega if omega >= 0.0 else 0.0)
     s = ac + nac + omega
-    if not abs(s - 1.0) <= NORM_TOL:
-        raise InvalidMass(f"mass components sum to {s}, expected 1")
     return _mass((ac / s, nac / s, omega / s, 0.0))
 
 

@@ -27,6 +27,7 @@ class AssessorProfile(namedtuple(
     each parameter an int or float (not a bool) in [0, 1], stored as float."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))  # so _replace checks too
 
     def __new__(cls, name: str, beta_err: float = WeightConfig.beta_err,
                 beta_likely: float = WeightConfig.beta_likely,
@@ -60,6 +61,7 @@ class CriterionObservation(namedtuple(
     JSON, each count an int (not a bool) in [0, 2**53], exact as a float."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))  # so _replace checks too
 
     def __new__(cls, criterion_id: str, n_err: int = 0, n_ok: int = 0,
                 n_likely: int = 0, n_potential: int = 0, t_err: int = 0,
@@ -117,6 +119,9 @@ class AssessorReport(namedtuple(
     computed, not passed."""
 
     __slots__ = ()
+
+    def __getnewargs__(self):  # copies and pickles rebuild through __new__
+        return self[:3]
 
     def __new__(cls, profile: AssessorProfile, url: str,
                 observations: Optional[Dict[str, CriterionObservation]] = None):

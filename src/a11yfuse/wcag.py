@@ -59,6 +59,7 @@ class WeightConfig(namedtuple(
     assessor report falls back to when its assessor block omits them."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))  # so _replace checks too
     beta_err, beta_likely, beta_potential, delta = 1.0, 0.5, 1.0, 1.0
 
     def __new__(cls, *args, **kwargs):
@@ -86,6 +87,7 @@ class CriterionSpec(namedtuple("CriterionSpec", "id level frames")):
     of deficiency frames it serves, each given as a member or its name."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))  # so _replace checks too
 
     def __new__(cls, id: str, level: str, frames: Collection[str]):
         if not isinstance(id, str):

@@ -26,6 +26,12 @@ import reference as ref
 MASS_SETS = (ref.AC, ref.NAC, ref.OMEGA, ref.EMPTY)
 
 
+TINY = st.sampled_from([0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-17,
+                        2 ** -53])
+UNIT = st.one_of(TINY, st.sampled_from([1.0, 1 - 2 ** -53]),
+                 st.floats(0.0, 1.0))
+
+
 @st.composite
 def masses(draw, with_conflict=False):
     n = 4 if with_conflict else 3
@@ -54,8 +60,8 @@ class TestMakeMass:
             make_mass(0.5, 0.3, 0.1)
 
     def test_negative(self):
-        with pytest.raises(InvalidMass, match=r"^mass component -0\.1 is "
-                                              r"negative or NaN$"):
+        with pytest.raises(InvalidMass, match=r"^mass component ac=-0\.1 "
+                                              r"outside \[0, 1\]$"):
             make_mass(-0.1, 0.6, 0.5)
 
     def test_tiny_drift_renormalized(self):
@@ -63,10 +69,38 @@ class TestMakeMass:
         assert math.isclose(m.ac + m.nac + m.omega, 1.0, abs_tol=1e-15)
 
     def test_nan_rejected(self):
-        # a NaN fails every comparison, so it is no negative number
+        # a NaN fails every comparison, so it is out of range
         with pytest.raises(InvalidMass,
-                           match=r"^mass component nan is negative or NaN$"):
+                           match=r"^mass component ac=nan outside \[0, 1\]$"):
             make_mass(math.nan, 0.0, 1.0)
+
+    def test_edge_of_the_sum_tolerance(self):
+        # the unclamped sum is within 1e-9 of 1, the clamped one is not:
+        # MassFunction's rule, which sums the triple as given, accepts it
+        m = make_mass(0.5, 0.5 + 1e-9 + 5e-13, -6e-13)
+        assert tuple(m) == (0.49999999949974994, 0.50000000050025, 0.0, 0.0)
+
+    @given(st.lists(st.one_of(
+        UNIT, st.sampled_from([math.nan, math.inf, -math.inf, -1e-12])),
+        min_size=3, max_size=3), st.sampled_from([None, 0.0, 1e-9, -1e-9]),
+        st.integers(0, 2))
+    @example([0.5, 0.5 + 1e-9 + 5e-13, -6e-13], None, 0)
+    def test_accepts_what_mass_function_accepts(self, t, shift, i):
+        # unless shift is None, scale the components in [0, 1] to sum 1,
+        # then move one by shift: sums at 1 and at 1 +- 1e-9
+        s = sum(v for v in t if 0.0 <= v <= 1.0)
+        if shift is not None and s > 0.0:
+            t = [v / s if 0.0 <= v <= 1.0 else v for v in t]
+            t[i] += shift
+        try:
+            MassFunction(*t)
+        except InvalidMass:
+            with pytest.raises(InvalidMass):
+                make_mass(*t)
+            return
+        got = make_mass(*t)
+        assert MassFunction(*got) == got and got.empty == 0.0
+        assert math.isclose(sum(got), 1.0, abs_tol=1e-15)
 
 
 class TestMassFunction:
@@ -266,12 +300,6 @@ def checked_combine(a, b):
              + b.empty * (a.ac + a.nac + a.omega))
     total = ac + nac + omega + empty
     return MassFunction(ac / total, nac / total, omega / total, empty / total)
-
-
-TINY = st.sampled_from([0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-17,
-                        2 ** -53])
-UNIT = st.one_of(TINY, st.sampled_from([1.0, 1 - 2 ** -53]),
-                 st.floats(0.0, 1.0))
 
 
 @st.composite

@@ -258,8 +258,8 @@ class TestMassesFromEstimates:
 
     def test_infinite_estimate_rejected(self):
         # inf / inf is NaN, which make_mass rejects
-        with pytest.raises(InvalidMass, match=r"^mass component nan is "
-                                              r"negative or NaN$"):
+        with pytest.raises(InvalidMass, match=r"^mass component ac=nan "
+                                              r"outside \[0, 1\]$"):
             masses_from_estimates((math.inf, 0.1, 0.1))
 
 

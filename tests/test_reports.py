@@ -1,11 +1,19 @@
+import copy
 import json
+import pickle
 import re
 import warnings
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from a11yfuse.errors import CountInconsistency, IndicatorError, SchemaError
+from a11yfuse.belief import MassFunction, vacuous
+from a11yfuse.errors import (
+    CountInconsistency,
+    IndicatorError,
+    InvalidMass,
+    SchemaError,
+)
 from a11yfuse.reports import (
     FIXTURE_KINDS,
     AssessorProfile,
@@ -16,7 +24,7 @@ from a11yfuse.reports import (
     serialize_report,
 )
 from a11yfuse.engine import score_page
-from a11yfuse.wcag import GLOBAL, WeightConfig, load_config
+from a11yfuse.wcag import GLOBAL, CriterionSpec, WeightConfig, load_config
 
 
 def report_doc(observations, total=None, **assessor_overrides):
@@ -378,6 +386,47 @@ class TestTotalTests:
         r = AssessorReport(AssessorProfile("t"), "u",
                            {"1.1.1": CriterionObservation("1.1.1")})
         assert r.total_tests == 0
+
+
+PROTOCOLS = range(pickle.HIGHEST_PROTOCOL + 1)
+
+
+class TestValueTypes:
+    @pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy] + [
+        lambda v, p=p: pickle.loads(pickle.dumps(v, p)) for p in PROTOCOLS],
+        ids=["copy", "deepcopy"] + [f"pickle{p}" for p in PROTOCOLS])
+    @pytest.mark.parametrize("value", [
+        AssessorReport(AssessorProfile("t", delta=0.5), "u", {
+            "1.1.1": CriterionObservation("1.1.1", n_err=1, n_ok=2, t_err=3),
+            "2.1.1": CriterionObservation("2.1.1", n_ok=4)}),
+        AssessorProfile("t", 0.25, 0.5, 0.75, 1),
+        CriterionObservation("1.1.1", 1, 2, 3, 4, 5, 6, 7),
+        MassFunction(0.25, 0.25, 0.5), WeightConfig(s1=0.5),
+        CriterionSpec("1.1.1", "A", ["visual", "cognitive"])],
+        ids=lambda v: type(v).__name__)
+    def test_copies_and_pickles(self, copier, value):
+        got = copier(value)
+        assert type(got) is type(value) and got == value
+
+    @pytest.mark.parametrize("value, change, error, message", [
+        (CriterionObservation("1.1.1", n_err=1, t_err=1), dict(n_err=5),
+         CountInconsistency, "5 errors observed but only 1 applicable tests"),
+        # the constructor's fault order: a negative count before the excess
+        (CriterionObservation("1.1.1", n_err=1, t_err=1),
+         dict(n_err=5, n_ok=-3), SchemaError, "n_ok must be a non-negative"),
+        (vacuous(), dict(ac=-1.0), InvalidMass, "ac=-1.0 outside"),
+        (AssessorProfile("t"), dict(delta=2.0), SchemaError, "delta=2.0"),
+        (WeightConfig(), dict(s1=0.95), SchemaError, "thresholds must"),
+        (CriterionSpec("c1", "A", ["visual"]), dict(frames=[]), SchemaError,
+         "belongs to no frame")],
+        ids=["CriterionObservation-excess", "CriterionObservation-negative",
+             "MassFunction", "AssessorProfile", "WeightConfig",
+             "CriterionSpec"])
+    def test_replace_runs_the_checks(self, value, change, error, message):
+        with pytest.raises(error, match=re.escape(message)):
+            value._replace(**change)
+        with pytest.raises(error, match=re.escape(message)):
+            type(value)._make({**value._asdict(), **change}.values())
 
 
 def canonical_json(report):
