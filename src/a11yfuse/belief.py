@@ -9,21 +9,20 @@ transform divides it back out at decision time.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from functools import partial, reduce
 from typing import Iterable
 
-from .errors import EmptySourceSet, InvalidMass, OutOfRange, TotalConflict
+from .errors import (EmptySourceSet, InvalidMass, OutOfRange, TotalConflict,
+                     checked_tuple)
 
 NORM_TOL = 1e-9
 NEG_TOL = 1e-12
 
 
-class MassFunction(namedtuple("MassFunction", "ac nac omega empty")):
+class MassFunction(checked_tuple("MassFunction", "ac nac omega empty")):
     """Basic belief assignment over {Ac, NotAc, Omega, Empty}."""
 
     __slots__ = ()
-    _make = classmethod(lambda cls, it: cls(*it))  # so _replace checks too
 
     def __new__(cls, ac: float, nac: float, omega: float, empty: float = 0.0):
         lo, hi, s = -NEG_TOL, 1.0 + NORM_TOL, ac + nac + omega + empty

@@ -2,13 +2,11 @@
 generate synthetic fixture reports.
 
 A `score` or `explain` line written in full (exact option names, each
-value its own token or, for --catalog, --weights, --format and --frame,
-joined to its option by `=`, and no value starting with `-`) is read by
+value its own token that does not start with `-`) is read by
 `_plain_args` in one pass, without importing argparse. Every other line
-(`fixtures`, help, an abbreviated option, `--page=value`, a value that is
-empty after `=` or starts with `-`, `--`, or a mistake) goes to
-`build_parser`, so help text and usage errors are argparse's own, with
-exit 2."""
+(`fixtures`, help, an abbreviated option, `--opt=value`, a value that
+starts with `-`, `--`, or a mistake) goes to `build_parser`, so help
+text and usage errors are argparse's own, with exit 2."""
 
 from __future__ import annotations
 
@@ -269,10 +267,9 @@ def _plain_args(argv: List[str]) -> Optional[SimpleNamespace]:
     """The arguments of a `score` or `explain` line written in full, read
     in one pass, with the fields that build_parser().parse_args(argv)
     sets; or None for any other line, which argparse must read. Only the
-    exact option names are known. A value is the next token, or, except
-    for --page and --ascii, the text after `--name=`; it must not start
-    with `-`, and after `=` it must not be empty. A --page group runs to
-    the next token that starts with `-`."""
+    exact option names are known, and each value is the next token, which
+    must not start with `-`. A --page group runs to the next token that
+    does."""
     command = argv[0] if argv else None
     if command == "score":
         own, args = "--format", {"format": _FORMATS[0], "func": cmd_score}
@@ -296,18 +293,13 @@ def _plain_args(argv: List[str]) -> Optional[SimpleNamespace]:
                 return None
             args["page"].append(argv[i + 1:end])
             i = end
-        else:  # --name value, or --name=value with a non-empty value
-            name, eq, value = option.partition("=")
-            if not eq and i + 1 < n:
-                value = argv[i + 1]
-            elif not (eq and value):
-                return None
-            if (name not in ("--catalog", "--weights", own)
-                    or value.startswith("-")
-                    or name == "--format" and value not in _FORMATS):
-                return None
-            args[name[2:]] = value
-            i += 1 if eq else 2
+        elif (option in ("--catalog", "--weights", own) and i + 1 < n
+              and not argv[i + 1].startswith("-")
+              and (option != "--format" or argv[i + 1] in _FORMATS)):
+            args[option[2:]] = argv[i + 1]
+            i += 2
+        else:
+            return None
     # --page is required, and so is explain's --frame
     if not args["page"] or args.get("frame", "") is None:
         return None

@@ -1,4 +1,26 @@
-"""Exception hierarchy for the accessibility fusion pipeline."""
+"""Exception hierarchy for the accessibility fusion pipeline, and the
+named-tuple base of the value types that check their fields."""
+
+from collections import namedtuple
+
+
+def checked_tuple(typename: str, field_names: str, **kwargs) -> type:
+    """A named-tuple base for a subclass whose constructor checks every
+    field: _make (which _replace calls), copies and pickles build through
+    that constructor, after the named tuple's own field-count check."""
+    base = namedtuple(typename, field_names, **kwargs)
+
+    class Checked(base):
+        __slots__ = ()
+
+        @classmethod
+        def _make(cls, fields):
+            return cls(*base._make(fields))
+
+        def __reduce__(self):
+            return type(self), tuple(self)
+
+    return Checked
 
 
 class IndicatorError(Exception):

@@ -14,20 +14,19 @@ import random
 from collections import namedtuple
 from typing import Dict, Optional
 
-from .errors import CountInconsistency, SchemaError
+from .errors import CountInconsistency, SchemaError, checked_tuple
 from .wcag import WeightConfig, _decode_json, _unknown_keys, load_config
 
 FIXTURE_KINDS = ("balanced", "error-heavy", "potential-heavy")
 
 
-class AssessorProfile(namedtuple(
+class AssessorProfile(checked_tuple(
         "AssessorProfile", "name beta_err beta_likely beta_potential delta")):
     """Identity and trust parameters of one automatic assessor; omitted
     parameters take WeightConfig's class constants. The name is UTF-8 text;
     each parameter an int or float (not a bool) in [0, 1], stored as float."""
 
     __slots__ = ()
-    _make = classmethod(lambda cls, it: cls(*it))  # so _replace checks too
 
     def __new__(cls, name: str, beta_err: float = WeightConfig.beta_err,
                 beta_likely: float = WeightConfig.beta_likely,
@@ -54,14 +53,13 @@ def _check_text(label: str, text: str) -> None:
         raise SchemaError(f"{label} is not Unicode text: {text!r}") from None
 
 
-class CriterionObservation(namedtuple(
+class CriterionObservation(checked_tuple(
         "CriterionObservation", "criterion_id n_err n_ok n_likely "
         "n_potential t_err t_likely t_potential")):
     """One assessor's counts for one criterion; the id a str that survives
     JSON, each count an int (not a bool) in [0, 2**53], exact as a float."""
 
     __slots__ = ()
-    _make = classmethod(lambda cls, it: cls(*it))  # so _replace checks too
 
     def __new__(cls, criterion_id: str, n_err: int = 0, n_ok: int = 0,
                 n_likely: int = 0, n_potential: int = 0, t_err: int = 0,
@@ -120,8 +118,8 @@ class AssessorReport(namedtuple(
 
     __slots__ = ()
 
-    def __getnewargs__(self):  # copies and pickles rebuild through __new__
-        return self[:3]
+    def __reduce__(self):  # copies and pickles rebuild through __new__
+        return type(self), self[:3]
 
     def __new__(cls, profile: AssessorProfile, url: str,
                 observations: Optional[Dict[str, CriterionObservation]] = None):

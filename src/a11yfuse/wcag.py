@@ -9,12 +9,11 @@ discretization thresholds are set apart from it, in a weights file.
 from __future__ import annotations
 
 import json
-from collections import namedtuple
 from enum import Enum
 from pathlib import Path
 from typing import Collection, Dict, Iterable, Mapping, Optional, Union
 
-from .errors import SchemaError, UnknownFrame
+from .errors import SchemaError, UnknownFrame, checked_tuple
 
 
 class ConformanceLevel(str, Enum):
@@ -51,7 +50,7 @@ def resolve_frame(name: str) -> DeficiencyFrame:
                            f"{names}") from None
 
 
-class WeightConfig(namedtuple(
+class WeightConfig(checked_tuple(
         "WeightConfig", "alpha_a alpha_aa alpha_aaa s1 s2 s3 s4",
         defaults=(1.0, 0.8, 0.6, 0.6, 0.7, 0.8, 0.9))):
     """Level weights and the four discretization thresholds, stored as floats.
@@ -59,7 +58,6 @@ class WeightConfig(namedtuple(
     assessor report falls back to when its assessor block omits them."""
 
     __slots__ = ()
-    _make = classmethod(lambda cls, it: cls(*it))  # so _replace checks too
     beta_err, beta_likely, beta_potential, delta = 1.0, 0.5, 1.0, 1.0
 
     def __new__(cls, *args, **kwargs):
@@ -82,12 +80,11 @@ def alpha_for(w: WeightConfig) -> Dict[str, float]:
     return {"A": w.alpha_a, "AA": w.alpha_aa, "AAA": w.alpha_aaa}
 
 
-class CriterionSpec(namedtuple("CriterionSpec", "id level frames")):
+class CriterionSpec(checked_tuple("CriterionSpec", "id level frames")):
     """One WCAG success criterion: its conformance level and the collection
     of deficiency frames it serves, each given as a member or its name."""
 
     __slots__ = ()
-    _make = classmethod(lambda cls, it: cls(*it))  # so _replace checks too
 
     def __new__(cls, id: str, level: str, frames: Collection[str]):
         if not isinstance(id, str):

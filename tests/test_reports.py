@@ -389,12 +389,13 @@ class TestTotalTests:
 
 
 PROTOCOLS = range(pickle.HIGHEST_PROTOCOL + 1)
+COPIERS = pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy] + [
+    lambda v, p=p: pickle.loads(pickle.dumps(v, p)) for p in PROTOCOLS],
+    ids=["copy", "deepcopy"] + [f"pickle{p}" for p in PROTOCOLS])
 
 
 class TestValueTypes:
-    @pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy] + [
-        lambda v, p=p: pickle.loads(pickle.dumps(v, p)) for p in PROTOCOLS],
-        ids=["copy", "deepcopy"] + [f"pickle{p}" for p in PROTOCOLS])
+    @COPIERS
     @pytest.mark.parametrize("value", [
         AssessorReport(AssessorProfile("t", delta=0.5), "u", {
             "1.1.1": CriterionObservation("1.1.1", n_err=1, n_ok=2, t_err=3),
@@ -427,6 +428,34 @@ class TestValueTypes:
             value._replace(**change)
         with pytest.raises(error, match=re.escape(message)):
             type(value)._make({**value._asdict(), **change}.values())
+
+    @COPIERS
+    @pytest.mark.parametrize("cls, fields, error", [
+        (AssessorReport, (AssessorProfile("t"), "", {}, 0), SchemaError),
+        (AssessorProfile, ("t", 0.5, 0.5, 0.5, 2.0), SchemaError),
+        (CriterionObservation, ("1.1.1", 5, 0, 0, 0, 1, 0, 0),
+         CountInconsistency),
+        (MassFunction, (-5.0, 0.25, 0.5, 0.0), InvalidMass),
+        (WeightConfig, (1.0, 0.8, 0.6, 0.95, 0.7, 0.8, 0.9), SchemaError),
+        (CriterionSpec, ("c1", "A", frozenset()), SchemaError)],
+        ids=["AssessorReport", "AssessorProfile", "CriterionObservation",
+             "MassFunction", "WeightConfig", "CriterionSpec"])
+    def test_copies_run_the_checks(self, copier, cls, fields, error):
+        # a value built past its checks, as tuple.__new__ builds one
+        with pytest.raises(error):
+            copier(tuple.__new__(cls, fields))
+
+    @pytest.mark.parametrize("cls, fields", [
+        (AssessorProfile, ("t", 0.5)), (CriterionObservation, ("1.1.1",)),
+        (MassFunction, (0.0, 0.0, 1.0)), (WeightConfig, (0.5,)),
+        (CriterionSpec, ("c1", "A", ["visual"], None))],
+        ids=["AssessorProfile", "CriterionObservation", "MassFunction",
+             "WeightConfig", "CriterionSpec"])
+    def test_make_takes_every_field(self, cls, fields):
+        # as a named tuple's _make does, though the constructor has defaults
+        with pytest.raises(TypeError, match=r"^Expected \d+ arguments, got "
+                                            rf"{len(fields)}$"):
+            cls._make(fields)
 
 
 def canonical_json(report):
