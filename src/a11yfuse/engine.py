@@ -88,32 +88,33 @@ class FrameDecision(namedtuple(
 
 
 def estimate_parts(report: AssessorReport, frame: DeficiencyFrame,
-                   catalog: Catalog, w: WeightConfig,
-                   tested: int) -> EstimationParts:
+                   catalog: Catalog, w: WeightConfig) -> EstimationParts:
     """Evidence sums for one frame, with numerators and denominators split
     out; .triple() divides them, a zero denominator giving a zero term.
     Each criterion's counts are weighed by w's weight for its level.
 
-    Correct checkpoints are normalized by `tested`, the assessor's total
-    test count over every observation the catalog holds, in all frames;
-    errors and uncertain problems are normalized by the frame-restricted
-    test totals. Only the report's observations whose ids
-    criteria_in_frame returns contribute.
+    e_ac's denominator counts the tests run over every observation the
+    catalog holds, in all frames. Every other sum counts only the
+    observations whose ids criteria_in_frame returns.
     """
     frame_ids = criteria_in_frame(catalog, frame)
     alphas = alpha_for(w)
     _, beta_err, beta_likely, beta_potential, _ = report.profile
     num_ac = num_nac = num_omega = 0.0
-    den_nac = den_omega = 0
-    # tuple unpacking, not named-field reads, which Python 3.11 does not
-    # specialise; the sums keep their order, so every float is unchanged
+    tested = den_nac = den_omega = 0
+    # unpacking and indexing, not named-field reads, which Python 3.11 does
+    # not specialise; the sums keep their order, so every float is unchanged
+    get = catalog.get
     for cid, obs in report.observations.items():
-        if cid not in frame_ids:
+        spec = get(cid)
+        if spec is None:
             continue
         _, n_err, n_ok, n_likely, n_potential, t_err, t_likely, \
             t_potential = obs
-        _, level, _ = catalog[cid]
-        alpha = alphas[level]
+        tested += n_err + n_ok + n_likely + n_potential
+        if cid not in frame_ids:
+            continue
+        alpha = alphas[spec[1]]  # the weight of the criterion's level
         num_ac += n_ok * alpha
         num_nac += n_err * alpha * beta_err
         den_nac += t_err
@@ -170,16 +171,13 @@ def score_page(reports: Iterable[AssessorReport], catalog: Catalog,
         while name in names:
             name = f"{name}#{idx}"
         names.add(name)
-        obs = report.observations
-        tested = report.total_tests - sum(
-            obs[c].tests_run for c in obs.keys() - catalog.keys())
-        named.append((name, delta, report, tested))
+        named.append((name, delta, report))
 
     decisions = {}
     for frame in frames:
         sources = []
-        for name, delta, report, tested in named:
-            parts = estimate_parts(report, frame, catalog, w, tested)
+        for name, delta, report in named:
+            parts = estimate_parts(report, frame, catalog, w)
             m = masses_from_estimates(parts.triple())
             sources.append(SourceResult(name, delta, parts, m,
                                         belief.discount(m, delta)))

@@ -2,8 +2,8 @@
 and a deterministic fixture generator.
 
 A report is one assessor's evaluation of one page: the assessor profile
-(certainty weakening coefficients and reliability), per-criterion defect
-counts at three certainty levels, and the derived total test count.
+(certainty weakening coefficients and reliability) and per-criterion defect
+counts at three certainty levels, from which the total test count derives.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import json
 import random
-from collections import namedtuple
 from typing import Dict, Optional
 
 from .errors import CountInconsistency, SchemaError, checked_tuple
@@ -109,17 +108,13 @@ _ASSESSOR_KEYS = frozenset(("name", *_PROFILE_KEYS))
 _REPORT_KEYS = frozenset(("assessor", "url", "observations", "total_tests"))
 
 
-class AssessorReport(namedtuple(
-        "AssessorReport", "profile url observations total_tests")):
+class AssessorReport(checked_tuple(
+        "AssessorReport", "profile url observations")):
     """One assessor's evaluation of one page: an AssessorProfile, a url of
     non-empty UTF-8 text and a dict from criterion id to its
-    CriterionObservation. total_tests, summed over all observations, is
-    computed, not passed."""
+    CriterionObservation."""
 
     __slots__ = ()
-
-    def __reduce__(self):  # copies and pickles rebuild through __new__
-        return type(self), self[:3]
 
     def __new__(cls, profile: AssessorProfile, url: str,
                 observations: Optional[Dict[str, CriterionObservation]] = None):
@@ -130,15 +125,18 @@ class AssessorReport(namedtuple(
             observations = {}
         if not isinstance(observations, dict):
             raise SchemaError(f"not a dict of observations: {observations!r}")
-        total = 0
         for cid, obs in observations.items():
             if not isinstance(obs, CriterionObservation):
                 raise SchemaError(f"not a CriterionObservation: {obs!r}")
             if cid != obs.criterion_id:
                 raise SchemaError(f"observation keyed {cid!r} carries "
                                   f"criterion id {obs.criterion_id!r}")
-            total += obs.tests_run
-        return tuple.__new__(cls, (profile, url, observations, total))
+        return tuple.__new__(cls, (profile, url, observations))
+
+    @property
+    def total_tests(self) -> int:
+        """The tests run, summed over every observation."""
+        return sum(obs.tests_run for obs in self.observations.values())
 
 
 def parse_report(document) -> AssessorReport:
@@ -191,12 +189,13 @@ def parse_report(document) -> AssessorReport:
         observations[cid] = obs
 
     report = AssessorReport(profile, url, observations)
-    stored = document.get("total_tests", report.total_tests)
+    total = report.total_tests
+    stored = document.get("total_tests", total)
     if type(stored) is not int:
         raise SchemaError(f"total_tests must be an integer, got {stored!r}")
-    if stored != report.total_tests:
+    if stored != total:
         raise CountInconsistency(f"stored total_tests={stored} does not match "
-                                 f"the recomputed sum {report.total_tests}")
+                                 f"the recomputed sum {total}")
     return report
 
 

@@ -180,7 +180,7 @@ class TestEstimate:
         r = report_for(n_ok=8, n_err=2, n_likely=1,
                        t_err=4, t_likely=2)
         e_ac, e_nac, e_omega = estimate_parts(
-            r, DeficiencyFrame.VISUAL, catalog, w, r.total_tests).triple()
+            r, DeficiencyFrame.VISUAL, catalog, w).triple()
         # total tests = 8 + 2 + 1 = 11
         assert math.isclose(e_ac, 8 / 11, abs_tol=1e-12)
         assert math.isclose(e_nac, 2 / 4, abs_tol=1e-12)
@@ -190,15 +190,14 @@ class TestEstimate:
         catalog, w = one_criterion_catalog()
         r = report_for(n_ok=5)
         e_ac, e_nac, e_omega = estimate_parts(
-            r, DeficiencyFrame.VISUAL, catalog, w, r.total_tests).triple()
+            r, DeficiencyFrame.VISUAL, catalog, w).triple()
         assert (e_nac, e_omega) == (0.0, 0.0)
         assert e_ac == 1.0
 
     def test_frame_without_criteria_is_all_zero(self):
         catalog, w = one_criterion_catalog()
         r = report_for(n_ok=5, n_err=1, t_err=2)
-        e = estimate_parts(r, DeficiencyFrame.HEARING, catalog, w,
-                           r.total_tests).triple()
+        e = estimate_parts(r, DeficiencyFrame.HEARING, catalog, w).triple()
         assert e == (0.0, 0.0, 0.0)
 
     def test_correct_count_normalized_by_all_frames(self):
@@ -222,8 +221,24 @@ class TestEstimate:
         }
         r = parse_report(doc)
         e_ac, _, _ = estimate_parts(
-            r, DeficiencyFrame.VISUAL, catalog, w, r.total_tests).triple()
+            r, DeficiencyFrame.VISUAL, catalog, w).triple()
         assert math.isclose(e_ac, 4 / 10, abs_tol=1e-12)
+
+    @pytest.mark.parametrize("kind", FIXTURE_KINDS)
+    def test_parts_are_the_pipeline_parts(self, kind):
+        # under the first 40 packaged criteria a fixture holds entries the
+        # catalog lacks, and e_ac's denominator leaves their tests out
+        catalog, w = load_config(ENTRIES[:40])
+        for seed in range(20):
+            r = parse_report(generate_fixture(seed, kind))
+            tested = sum(o.tests_run for cid, o in r.observations.items()
+                         if cid in catalog)
+            assert tested < r.total_tests
+            page = score_page([r], catalog, w)
+            for frame in FRAMES:
+                parts = estimate_parts(r, frame, catalog, w)
+                assert parts == page[frame].sources[0].parts
+                assert parts.den_ac == tested
 
     def test_uniform_page_decisions_order_by_frame_size(self):
         # 1 error and 9 correct of 10 tests on every packaged criterion:
@@ -424,8 +439,7 @@ class TestScoreFrame:
         d = score_page([r], catalog, w, (VISUAL,))[VISUAL]
         (src,) = d.sources
         assert (src.name, src.delta) == ("tool-a", 0.8)
-        assert src.parts == estimate_parts(r, DeficiencyFrame.VISUAL, catalog,
-                                           w, r.total_tests)
+        assert src.parts == estimate_parts(r, VISUAL, catalog, w)
         assert src.mass == masses_from_estimates(src.parts.triple())
         assert src.discounted == pytest.approx(MassFunction(
             0.8 * src.mass.ac, 0.8 * src.mass.nac,
@@ -742,8 +756,7 @@ class TestWeightConsistency:
             }
             r = parse_report(doc)
             masses.append(masses_from_estimates(
-                estimate_parts(r, DeficiencyFrame.VISUAL, catalog, w,
-                               r.total_tests).triple()))
+                estimate_parts(r, VISUAL, catalog, w).triple()))
         assert masses[0] == pytest.approx(masses[1], abs=1e-12)
 
 

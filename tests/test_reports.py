@@ -419,10 +419,12 @@ class TestValueTypes:
         (AssessorProfile("t"), dict(delta=2.0), SchemaError, "delta=2.0"),
         (WeightConfig(), dict(s1=0.95), SchemaError, "thresholds must"),
         (CriterionSpec("c1", "A", ["visual"]), dict(frames=[]), SchemaError,
-         "belongs to no frame")],
+         "belongs to no frame"),
+        (AssessorReport(AssessorProfile("t"), "u"), dict(url=""), SchemaError,
+         "url must be a non-empty string")],
         ids=["CriterionObservation-excess", "CriterionObservation-negative",
              "MassFunction", "AssessorProfile", "WeightConfig",
-             "CriterionSpec"])
+             "CriterionSpec", "AssessorReport"])
     def test_replace_runs_the_checks(self, value, change, error, message):
         with pytest.raises(error, match=re.escape(message)):
             value._replace(**change)
@@ -431,7 +433,7 @@ class TestValueTypes:
 
     @COPIERS
     @pytest.mark.parametrize("cls, fields, error", [
-        (AssessorReport, (AssessorProfile("t"), "", {}, 0), SchemaError),
+        (AssessorReport, (AssessorProfile("t"), "", {}), SchemaError),
         (AssessorProfile, ("t", 0.5, 0.5, 0.5, 2.0), SchemaError),
         (CriterionObservation, ("1.1.1", 5, 0, 0, 0, 1, 0, 0),
          CountInconsistency),
@@ -448,9 +450,10 @@ class TestValueTypes:
     @pytest.mark.parametrize("cls, fields", [
         (AssessorProfile, ("t", 0.5)), (CriterionObservation, ("1.1.1",)),
         (MassFunction, (0.0, 0.0, 1.0)), (WeightConfig, (0.5,)),
-        (CriterionSpec, ("c1", "A", ["visual"], None))],
+        (CriterionSpec, ("c1", "A", ["visual"], None)),
+        (AssessorReport, (AssessorProfile("t"), "u"))],
         ids=["AssessorProfile", "CriterionObservation", "MassFunction",
-             "WeightConfig", "CriterionSpec"])
+             "WeightConfig", "CriterionSpec", "AssessorReport"])
     def test_make_takes_every_field(self, cls, fields):
         # as a named tuple's _make does, though the constructor has defaults
         with pytest.raises(TypeError, match=r"^Expected \d+ arguments, got "
@@ -461,7 +464,7 @@ class TestValueTypes:
 def canonical_json(report):
     """The canonical form's definition, which serialize_report must match
     byte for byte."""
-    doc = report._asdict()
+    doc = {**report._asdict(), "total_tests": report.total_tests}
     doc["assessor"] = doc.pop("profile")._asdict()
     doc["observations"] = [
         {"criterion" if k == "criterion_id" else k: v
