@@ -25,6 +25,7 @@ from a11yfuse.errors import (
     OutOfRange,
     SchemaError,
 )
+from a11yfuse.fixtures import generate_fixture
 from a11yfuse.reports import (
     AssessorProfile,
     AssessorReport,
@@ -44,7 +45,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 HEAVY_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize",
                  "importlib.resources", "tempfile", "shutil", "argparse",
-                 "gettext", "locale")
+                 "gettext", "locale", "random", "a11yfuse.fixtures")
 
 
 def test_cli_import_skips_heavy_modules():
@@ -62,16 +63,16 @@ def test_cli_import_skips_heavy_modules():
 def test_cli_runs_on_the_standard_library_alone(tmp_path):
     # every module a score, explain and fixtures run leaves loaded, by
     # top-level name; python -S keeps site-packages off the path. A score
-    # or explain line written in full is read without argparse, which
-    # brings gettext and locale; fixtures still goes through argparse
+    # or explain line written in full loads neither argparse, which brings
+    # gettext and locale, nor the fixture generator, which brings random;
+    # fixtures still loads both
+    page = tmp_path / "report-balanced-7.json"
+    page.write_text(generate_fixture(7, "balanced"), encoding="utf-8")
     code = """if True:
         import sys
         sys.path.insert(0, sys.argv[1])
         from a11yfuse.cli import main
-        from a11yfuse.reports import generate_fixture
         page = sys.argv[2] + "/report-balanced-7.json"
-        with open(page, "w", encoding="utf-8") as f:
-            f.write(generate_fixture(7, "balanced"))
         codes = [main(["score", "--format", "json", "--page", page]),
                  main(["score", "--page", page]),
                  main(["explain", "--frame", "global", "--page", page])]
@@ -83,7 +84,8 @@ def test_cli_runs_on_the_standard_library_alone(tmp_path):
                      if m.partition(".")[0] not in own))
     """
     proc = subprocess.run([sys.executable, "-S", "-c", code, str(SRC),
-                           str(tmp_path), "argparse", "gettext", "locale"],
+                           str(tmp_path), "argparse", "gettext", "locale",
+                           "random", "a11yfuse.fixtures"],
                           capture_output=True, text=True, check=True)
     assert proc.stdout.splitlines()[-2:] == ["[]", "[0, 0, 0, 0] True []"]
     assert proc.stderr == ""
