@@ -23,7 +23,9 @@ from .reports import (
     AssessorProfile,
     AssessorReport,
     CriterionObservation,
+    generate_fixture,
     parse_report,
+    serialize_report,
 )
 from .wcag import (
     FRAMES,

@@ -19,7 +19,8 @@ from typing import Callable, Dict, List, Optional
 from . import engine
 from .engine import FrameDecision
 from .errors import IndicatorError
-from .reports import AssessorReport, parse_report
+from .reports import (FIXTURE_KINDS, AssessorReport, generate_fixture,
+                      parse_report)
 from .wcag import (FRAMES, Catalog, DeficiencyFrame, WeightConfig,
                    _file_bytes, load_config, resolve_frame)
 
@@ -196,7 +197,6 @@ def cmd_explain(args) -> int:
 
 
 def cmd_fixtures(args) -> int:
-    from .fixtures import generate_fixture  # scoring never loads it
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -221,10 +221,8 @@ def non_negative_int(text: str) -> int:
 
 def build_parser():
     """The argparse parser for every command. argparse is imported here,
-    not at the top, so that a line `_plain_args` reads never loads it;
-    so is the fixture generator."""
+    not at the top, so that a line `_plain_args` reads never loads it."""
     import argparse
-    from .fixtures import FIXTURE_KINDS
     parser = argparse.ArgumentParser(
         prog="a11yfuse",
         description="Fuse automatic accessibility-assessor reports into "

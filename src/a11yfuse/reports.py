@@ -1,4 +1,5 @@
-"""Canonical assessor-report schema and parsing.
+"""Canonical assessor-report schema: parsing, validation, serialization
+and a deterministic fixture generator.
 
 A report is one assessor's evaluation of one page: the assessor profile
 (certainty weakening coefficients and reliability) and per-criterion defect
@@ -7,11 +8,14 @@ counts at three certainty levels, from which the total test count derives.
 
 from __future__ import annotations
 
+import functools
 import json
 from typing import Dict, Optional
 
 from .errors import CountInconsistency, SchemaError, checked_tuple
-from .wcag import WeightConfig, _decode_json, _unknown_keys
+from .wcag import WeightConfig, _decode_json, _unknown_keys, load_config
+
+FIXTURE_KINDS = ("balanced", "error-heavy", "potential-heavy")
 
 
 class AssessorProfile(checked_tuple(
@@ -193,3 +197,93 @@ def parse_report(document) -> AssessorReport:
                                  f"the recomputed sum {total}")
     return report
 
+
+# The canonical form is json.dumps(doc, indent=2, sort_keys=True) plus a
+# newline, written out as templates with the keys in sorted order: the
+# indented json.dumps runs json's pure-Python encoder, and this schema is
+# fixed. Floats render as float.__repr__ and strings through json.dumps,
+# as the encoder does.
+_REPORT_TEMPLATE = """{
+  "assessor": {
+    "beta_err": %r,
+    "beta_likely": %r,
+    "beta_potential": %r,
+    "delta": %r,
+    "name": %s
+  },
+  "observations": %s,
+  "total_tests": %d,
+  "url": %s
+}
+"""
+_OBSERVATION_TEMPLATE = """    {
+      "criterion": %s,
+      "n_err": %d,
+      "n_likely": %d,
+      "n_ok": %d,
+      "n_potential": %d,
+      "t_err": %d,
+      "t_likely": %d,
+      "t_potential": %d
+    }"""
+
+
+def serialize_report(report: AssessorReport) -> str:
+    """Canonical JSON rendering, ASCII and byte-equal to
+    json.dumps(doc, indent=2, sort_keys=True) + "\\n"; parse_report
+    round-trips it exactly."""
+    entries = [_OBSERVATION_TEMPLATE % (
+        json.dumps(cid), n_err, n_likely, n_ok, n_potential, t_err, t_likely,
+        t_potential) for cid, n_err, n_ok, n_likely, n_potential, t_err,
+        t_likely, t_potential in report.observations.values()]
+    name, beta_err, beta_likely, beta_potential, delta = report.profile
+    return _REPORT_TEMPLATE % (
+        beta_err, beta_likely, beta_potential, delta, json.dumps(name),
+        "[\n%s\n  ]" % ",\n".join(entries) if entries else "[]",
+        report.total_tests, json.dumps(report.url))
+
+
+@functools.lru_cache(maxsize=1)
+def _packaged_ids() -> tuple:
+    """Sorted criterion ids of the packaged catalog, read once."""
+    return tuple(sorted(load_config()[0]))
+
+
+def generate_fixture(seed: int, profile_kind: str = FIXTURE_KINDS[0]) -> str:
+    """Deterministic pseudo-random report, valid under the schema.
+
+    Kinds mimic the statistical signatures of real tools: "error-heavy"
+    emits near-zero likely problems, "potential-heavy" emits a constant
+    potential-test count across criteria, "balanced" mixes everything.
+    Two fixtures with the same seed share a URL regardless of kind, so they
+    can be grouped as two assessments of one page.
+    """
+    import random  # here, so that score and explain never load it
+    if profile_kind not in FIXTURE_KINDS:
+        raise ValueError(f"profile_kind must be one of {FIXTURE_KINDS}")
+    rng = random.Random(f"{profile_kind}:{seed}")
+    chosen = sorted(rng.sample(_packaged_ids(), k=rng.randint(18, 32)))
+
+    fixed_t_potential = rng.randint(3, 7)
+    observations = {}
+    for cid in chosen:
+        t_err = rng.randint(1, 10)
+        if profile_kind == "error-heavy":
+            n_err = rng.randint(0, t_err)
+            t_likely = rng.randint(0, 2)
+            n_likely = 0
+        else:
+            n_err = rng.randint(0, max(1, t_err // 2))
+            t_likely = rng.randint(0, 5)
+            n_likely = rng.randint(0, t_likely)
+        t_potential = (fixed_t_potential if profile_kind == "potential-heavy"
+                       else rng.randint(0, 6))
+        n_potential = rng.randint(0, t_potential)
+        n_ok = rng.randint(t_err - n_err, t_err - n_err + 8)
+        observations[cid] = CriterionObservation(
+            cid, n_err=n_err, n_ok=n_ok, n_likely=n_likely,
+            n_potential=n_potential, t_err=t_err, t_likely=t_likely,
+            t_potential=t_potential)
+    return serialize_report(AssessorReport(
+        AssessorProfile(f"{profile_kind}-assessor"),
+        f"https://example.test/page-{seed}", observations))

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 import a11yfuse
 from a11yfuse.cli import _plain_args, build_parser, main
 from a11yfuse.engine import AccessLevel
-from a11yfuse.fixtures import generate_fixture
+from a11yfuse.reports import generate_fixture
 from a11yfuse.wcag import DeficiencyFrame
 
 

@@ -20,11 +20,12 @@ from a11yfuse.engine import (
 from a11yfuse.cli import main
 from a11yfuse.errors import (EmptySourceSet, InvalidMass, MixedUrls,
                              OutOfRange, UnknownFrame)
-from a11yfuse.fixtures import FIXTURE_KINDS, generate_fixture
 from a11yfuse.reports import (
+    FIXTURE_KINDS,
     AssessorProfile,
     AssessorReport,
     CriterionObservation,
+    generate_fixture,
     parse_report,
 )
 from a11yfuse.wcag import (

@@ -20,9 +20,9 @@ import pytest
 
 import a11yfuse
 from a11yfuse.cli import main
-from a11yfuse.fixtures import generate_fixture, serialize_report
 from a11yfuse.reports import (AssessorProfile, AssessorReport,
-                              CriterionObservation)
+                              CriterionObservation, generate_fixture,
+                              serialize_report)
 
 SEEDS = (*range(50), 148, 359, 987)
 KINDS = ("error-heavy", "potential-heavy")

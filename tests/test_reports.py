@@ -14,12 +14,14 @@ from a11yfuse.errors import (
     InvalidMass,
     SchemaError,
 )
-from a11yfuse.fixtures import FIXTURE_KINDS, generate_fixture, serialize_report
 from a11yfuse.reports import (
+    FIXTURE_KINDS,
     AssessorProfile,
     AssessorReport,
     CriterionObservation,
+    generate_fixture,
     parse_report,
+    serialize_report,
 )
 from a11yfuse.engine import score_page
 from a11yfuse.wcag import GLOBAL, CriterionSpec, WeightConfig, load_config

@@ -25,11 +25,11 @@ from a11yfuse.errors import (
     OutOfRange,
     SchemaError,
 )
-from a11yfuse.fixtures import generate_fixture
 from a11yfuse.reports import (
     AssessorProfile,
     AssessorReport,
     CriterionObservation,
+    generate_fixture,
     parse_report,
 )
 from a11yfuse.wcag import (
@@ -45,7 +45,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 HEAVY_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize",
                  "importlib.resources", "tempfile", "shutil", "argparse",
-                 "gettext", "locale", "random", "a11yfuse.fixtures")
+                 "gettext", "locale", "random")
 
 
 def test_cli_import_skips_heavy_modules():
@@ -64,8 +64,8 @@ def test_cli_runs_on_the_standard_library_alone(tmp_path):
     # every module a score, explain and fixtures run leaves loaded, by
     # top-level name; python -S keeps site-packages off the path. A score
     # or explain line written in full loads neither argparse, which brings
-    # gettext and locale, nor the fixture generator, which brings random;
-    # fixtures still loads both
+    # gettext and locale, nor the fixture generator's random; fixtures
+    # still loads both
     page = tmp_path / "report-balanced-7.json"
     page.write_text(generate_fixture(7, "balanced"), encoding="utf-8")
     code = """if True:
@@ -85,7 +85,7 @@ def test_cli_runs_on_the_standard_library_alone(tmp_path):
     """
     proc = subprocess.run([sys.executable, "-S", "-c", code, str(SRC),
                            str(tmp_path), "argparse", "gettext", "locale",
-                           "random", "a11yfuse.fixtures"],
+                           "random"],
                           capture_output=True, text=True, check=True)
     assert proc.stdout.splitlines()[-2:] == ["[]", "[0, 0, 0, 0] True []"]
     assert proc.stderr == ""

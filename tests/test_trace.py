@@ -9,7 +9,7 @@ import pytest
 
 import tracing
 from a11yfuse import belief, cli, engine, reports, wcag
-from a11yfuse.fixtures import generate_fixture
+from a11yfuse.reports import generate_fixture
 
 SEEDS = (3, 148, 359)
 
