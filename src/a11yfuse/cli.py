@@ -1,12 +1,9 @@
 """Command-line front end: score pages, trace intermediate values, and
 generate synthetic fixture reports.
 
-A `score` or `explain` line written in full (exact option names, each
-value its own token that does not start with `-`) is read by
-`_plain_args` in one pass, without importing argparse. Every other line
-(`fixtures`, help, an abbreviated option, `--opt=value`, a value that
-starts with `-`, `--`, or a mistake) goes to `build_parser`, so help
-text and usage errors are argparse's own, with exit 2."""
+`_parse_args` reads every command line in one pass. A line it cannot read
+is a usage error: `main` writes the usage synopsis and one `error:` line to
+stderr and returns 2."""
 
 from __future__ import annotations
 
@@ -211,104 +208,94 @@ def cmd_fixtures(args) -> int:
     return 0
 
 
-def non_negative_int(text: str) -> int:
-    import argparse  # kept off the start-up path: see build_parser
-    n = int(text)
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"must be 0 or more, got {n}")
-    return n
+_USAGE = """\
+usage: a11yfuse {score [--format FORMAT] | explain --frame FRAME}
+                --page REPORT... [--page REPORT...]...
+                [--catalog PATH] [--weights PATH] [--ascii]
+       a11yfuse fixtures --seed N --out DIR [--kind KIND] [--count N]
+"""
+_HELP = f"""
+score scores pages from assessor reports; explain traces one frame's
+estimates, masses and fusion; fixtures writes synthetic reports.
+  --page REPORT...  report files for one page; repeat per page
+  --format FORMAT   {", ".join(_FORMATS)}; default {_FORMATS[0]}
+  --frame FRAME     {", ".join(f.value for f in FRAMES)}
+  --catalog PATH    criterion catalog JSON; default the packaged WCAG 2.0 one
+  --weights PATH    weight and threshold overrides JSON
+  --ascii           write levels as ASCII glyphs
+  --seed N          the first seed
+  --out DIR         the directory for report-KIND-SEED.json files
+  --kind KIND       {", ".join(FIXTURE_KINDS)}; default {FIXTURE_KINDS[0]}
+  --count N         how many seeds from --seed on, 0 or more; default 1
+  -h, --help        write this help
+"""
+_REQUIRED = object()  # the default of an option that a line must give
 
 
-def build_parser():
-    """The argparse parser for every command. argparse is imported here,
-    not at the top, so that a line `_plain_args` reads never loads it."""
-    import argparse
-    parser = argparse.ArgumentParser(
-        prog="a11yfuse",
-        description="Fuse automatic accessibility-assessor reports into "
-                    "per-deficiency-frame indicators.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--catalog", metavar="PATH",
-                       help="criterion catalog JSON (default: packaged "
-                            "WCAG 2.0 catalog)")
-        p.add_argument("--weights", metavar="PATH",
-                       help="weight/threshold overrides JSON")
-        p.add_argument("--ascii", action="store_true",
-                       help="render levels as ASCII glyphs")
-        p.add_argument("--page", metavar="REPORT", nargs="+",
-                       action="append", required=True,
-                       help="report files for one page; repeat per page")
-
-    p_score = sub.add_parser("score", help="score pages from report files")
-    add_common(p_score)
-    p_score.add_argument("--format", choices=_FORMATS, default=_FORMATS[0])
-    p_score.set_defaults(func=cmd_score)
-
-    p_explain = sub.add_parser(
-        "explain", help="trace estimates, masses and fusion for one frame")
-    add_common(p_explain)
-    p_explain.add_argument("--frame", required=True,
-                           help="|".join(f.value for f in FRAMES))
-    p_explain.set_defaults(func=cmd_explain)
-
-    p_fix = sub.add_parser("fixtures", help="generate synthetic reports")
-    p_fix.add_argument("--seed", type=int, required=True)
-    p_fix.add_argument("--kind", choices=FIXTURE_KINDS,
-                       default=FIXTURE_KINDS[0])
-    p_fix.add_argument("--count", type=non_negative_int, default=1)
-    p_fix.add_argument("--out", required=True, metavar="DIR")
-    p_fix.set_defaults(func=cmd_fixtures)
-    return parser
-
-
-def _plain_args(argv: List[str]) -> Optional[SimpleNamespace]:
-    """The arguments of a `score` or `explain` line written in full, read
-    in one pass, with the fields that build_parser().parse_args(argv)
-    sets; or None for any other line, which argparse must read. Only the
-    exact option names are known, and each value is the next token, which
-    must not start with `-`. A --page group runs to the next token that
-    does."""
-    command = argv[0] if argv else None
-    if command == "score":
-        own, args = "--format", {"format": _FORMATS[0], "func": cmd_score}
-    elif command == "explain":
-        own, args = "--frame", {"frame": None, "func": cmd_explain}
-    else:
+def _parse_args(argv: List[str]) -> Optional[SimpleNamespace]:
+    """The arguments of a command line, with `func` the command's function,
+    or None if it holds -h or --help. One pass reads it: options are written
+    in full, each value is the next argument, and a --page group runs to the
+    next argument that starts with `-`. Any other line raises ValueError."""
+    if "-h" in argv or "--help" in argv:
         return None
-    args.update(command=command, catalog=None, weights=None, ascii=False,
-                page=[])
-    i, n = 1, len(argv)
+    common = {"--page": _REQUIRED, "--catalog": None, "--weights": None,
+              "--ascii": False}
+    commands = {  # built per call: a wrapper put over cmd_* is the one run
+        "score": (cmd_score, {**common, "--format": _FORMATS[0]}),
+        "explain": (cmd_explain, {**common, "--frame": _REQUIRED}),
+        "fixtures": (cmd_fixtures, {"--seed": _REQUIRED, "--out": _REQUIRED,
+                                    "--kind": FIXTURE_KINDS[0], "--count": 1})}
+    choices = {"--format": _FORMATS, "--kind": FIXTURE_KINDS}
+    if not argv or argv[0] not in commands:
+        raise ValueError("the command must be score, explain or fixtures")
+    func, args = commands[argv[0]]
+    pages, i, n = [], 1, len(argv)
     while i < n:
-        option = argv[i]
-        if option == "--ascii":
-            args["ascii"] = True
-            i += 1
-        elif option == "--page":
-            end = i + 1
-            while end < n and not argv[end].startswith("-"):
-                end += 1
-            if end == i + 1:
-                return None
-            args["page"].append(argv[i + 1:end])
-            i = end
-        elif (option in ("--catalog", "--weights", own) and i + 1 < n
-              and not argv[i + 1].startswith("-")
-              and (option != "--format" or argv[i + 1] in _FORMATS)):
-            args[option[2:]] = argv[i + 1]
-            i += 2
-        else:
-            return None
-    # --page is required, and so is explain's --frame
-    if not args["page"] or args.get("frame", "") is None:
-        return None
-    return SimpleNamespace(**args)
+        option, i = argv[i], i + 1
+        if option not in args:
+            raise ValueError(f"unrecognized argument: {option!r}")
+        try:
+            if option == "--ascii":
+                args[option] = True
+            elif option == "--page":
+                end = i
+                while end < n and not argv[end].startswith("-"):
+                    end += 1
+                if end == i:
+                    raise ValueError("expected at least one argument")
+                pages.append(argv[i:end])
+                args[option], i = pages, end
+            elif i == n:
+                raise ValueError("expected one argument")
+            else:
+                value, i = argv[i], i + 1
+                if option in ("--seed", "--count"):
+                    value = int(value)
+                if option == "--count" and value < 0:
+                    raise ValueError(f"must be 0 or more, got {value}")
+                if option in choices and value not in choices[option]:
+                    raise ValueError(f"invalid choice: {value!r} (choose "
+                                     f"from {', '.join(choices[option])})")
+                args[option] = value
+        except ValueError as exc:
+            raise ValueError(f"argument {option}: {exc}") from None
+    missing = ", ".join(o for o, v in args.items() if v is _REQUIRED)
+    if missing:
+        raise ValueError(f"the following arguments are required: {missing}")
+    return SimpleNamespace(func=func, **{o[2:]: v for o, v in args.items()})
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _plain_args(argv) or build_parser().parse_args(argv)
+    try:
+        args = _parse_args(argv)
+    except ValueError as exc:  # a line _parse_args cannot read
+        sys.stderr.write(f"{_USAGE}a11yfuse: error: {exc}\n")
+        return 2
+    if args is None:
+        sys.stdout.write(_USAGE + _HELP)
+        return 0
     try:
         return args.func(args)
     except (IndicatorError, OSError) as exc:

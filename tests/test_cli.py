@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import copy
 import io
@@ -12,9 +13,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import a11yfuse
-from a11yfuse.cli import _plain_args, build_parser, main
+from a11yfuse.cli import (_USAGE, _parse_args, cmd_explain, cmd_fixtures,
+                          cmd_score, main)
 from a11yfuse.engine import AccessLevel
-from a11yfuse.reports import generate_fixture
+from a11yfuse.reports import FIXTURE_KINDS, generate_fixture
 from a11yfuse.wcag import DeficiencyFrame
 
 
@@ -152,9 +154,7 @@ class TestScore:
         assert code == 1
 
     def test_bad_flag_exit_2(self, fixture_pair):
-        with pytest.raises(SystemExit) as exc:
-            main(["score", "--format", "xml", "--page", *fixture_pair])
-        assert exc.value.code == 2
+        assert main(["score", "--format", "xml", "--page", *fixture_pair]) == 2
 
     def test_weight_overrides(self, capsys, tmp_path, fixture_pair):
         wpath = tmp_path / "weights.json"
@@ -1033,13 +1033,11 @@ class TestFixturesCommand:
 
     def test_negative_count_exit_2(self, capsys, tmp_path):
         out = tmp_path / "fx"
-        with pytest.raises(SystemExit) as exc:
-            main(["fixtures", "--seed", "1", "--count", "-3",
-                  "--out", str(out)])
-        assert exc.value.code == 2
-        assert "argument --count: must be 0 or more, got -3" in \
-            capsys.readouterr().err
-        assert not out.exists()
+        assert main(["fixtures", "--seed", "1", "--count", "-3",
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "argument --count: must be 0 or more, got -3" in captured.err
+        assert captured.out == "" and not out.exists()
 
     def test_zero_count_writes_nothing(self, tmp_path):
         out = tmp_path / "fx"
@@ -1048,14 +1046,49 @@ class TestFixturesCommand:
         assert list(out.iterdir()) == []
 
 
-def argparse_args(argv):
-    """vars() of what argparse reads from argv, or None where it exits."""
+def non_negative_int(text):
+    n = int(text)
+    if n < 0:
+        raise ValueError(text)
+    return n
+
+
+def reference_parser():
+    """argparse's reading of the CLI grammar: the reference for the fields
+    of the lines that _parse_args reads."""
+    parser = argparse.ArgumentParser(prog="a11yfuse")
+    sub = parser.add_subparsers(dest="command", required=True)
+    pages = {}
+    for name, func in (("score", cmd_score), ("explain", cmd_explain)):
+        pages[name] = p = sub.add_parser(name)
+        p.add_argument("--catalog")
+        p.add_argument("--weights")
+        p.add_argument("--ascii", action="store_true")
+        p.add_argument("--page", nargs="+", action="append", required=True)
+        p.set_defaults(func=func)
+    pages["score"].add_argument("--format", choices=("table", "json", "tsv"),
+                                default="table")
+    pages["explain"].add_argument("--frame", required=True)
+    p = sub.add_parser("fixtures")
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--kind", choices=FIXTURE_KINDS, default=FIXTURE_KINDS[0])
+    p.add_argument("--count", type=non_negative_int, default=1)
+    p.add_argument("--out", required=True)
+    p.set_defaults(func=cmd_fixtures)
+    return parser
+
+
+def reference_args(argv):
+    """What argparse reads from argv, without `command`, or None where it
+    exits."""
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
         try:
-            return vars(build_parser().parse_args(argv))
+            args = vars(reference_parser().parse_args(argv))
         except SystemExit:
             return None
+    del args["command"]
+    return args
 
 
 PLAIN_VALUES = st.sampled_from(["r.json", "a b.json", "", "json", "score",
@@ -1073,22 +1106,29 @@ OPTIONS = {
                                              ["xml", "--frame"]))),
     "explain": st.one_of(COMMON_OPTIONS, st.tuples(
         st.just("--frame"), st.sampled_from(["global", "visual", "x",
-                                             "--format"])))}
+                                             "--format"]))),
+    "fixtures": st.one_of(
+        st.tuples(st.just("--seed"), st.sampled_from(["3", "-2", "x"])),
+        st.tuples(st.just("--count"), st.sampled_from(["0", "2", "-3", "x"])),
+        st.tuples(st.just("--kind"), st.sampled_from([*FIXTURE_KINDS,
+                                                      "bogus"])),
+        st.tuples(st.just("--out"), st.sampled_from(["fx", "a b", "-o"])),
+        st.just(["--page", "r.json"]))}
+REQUIRED = {"score": [["--page", "r.json"]],
+            "explain": [["--page", "r.json"], ["--frame", "global"]],
+            "fixtures": [["--seed", "1"], ["--out", "fx"]]}
 
 
 @st.composite
 def argv_lines(draw):
-    """Mostly score and explain lines written in full, with repeated
-    options and options between groups; some lack a required option or
-    hold a token that argparse alone must read."""
+    """Mostly lines written in full, with repeated options and options
+    between groups; some lack a required option or hold a token that only
+    argparse reads."""
     command = draw(st.sampled_from(["score", "explain"] * 4 +
-                                   ["fixtures", "-h", ""]))
+                                   ["fixtures"] * 2 + ["-h", ""]))
     options = draw(st.lists(OPTIONS.get(command, COMMON_OPTIONS),
                             max_size=5))
-    required = [["--page", "r.json"]]
-    if command == "explain":
-        required.append(["--frame", "global"])
-    for option in required:
+    for option in REQUIRED.get(command, []):
         if draw(st.sampled_from([True] * 4 + [False])):
             options.insert(draw(st.integers(0, len(options))), option)
     argv = [command, *(token for option in options for token in option)]
@@ -1097,23 +1137,78 @@ def argv_lines(draw):
     return argv
 
 
-class TestPlainArgs:
-    """A score or explain line written in full is read without argparse,
-    into the same fields; every other line is left to argparse."""
+FULL_OPTIONS = {"--page", "--format", "--frame", "--catalog", "--weights",
+                "--ascii", "--seed", "--out", "--kind", "--count"}
+READ_DEFAULTS = {
+    "score": {"func": cmd_score, "catalog": None, "weights": None,
+              "ascii": False, "format": "table"},
+    "explain": {"func": cmd_explain, "catalog": None, "weights": None,
+                "ascii": False},
+    "fixtures": {"func": cmd_fixtures, "kind": "balanced", "count": 1}}
+REJECTED = [
+    (["score", "--page"], "argument --page: expected at least one argument"),
+    (["score"], "the following arguments are required: --page"),
+    (["score", "--format", "json"],
+     "the following arguments are required: --page"),
+    (["score", "--page", "-r.json"],
+     "argument --page: expected at least one argument"),
+    (["score", "--page", "a", "-r.json"], "unrecognized argument: '-r.json'"),
+    (["score", "--format", "xml", "--page", "a"],
+     "argument --format: invalid choice: 'xml' (choose from table, json, "
+     "tsv)"),
+    (["explain", "--page", "a"],
+     "the following arguments are required: --frame"),
+    # --frame's value is the next argument, so `a` is left over
+    (["explain", "--frame", "--page", "a"], "unrecognized argument: 'a'"),
+    (["score", "--page", "a", "--", "b"], "unrecognized argument: '--'"),
+    (["score", "--form", "json", "--page", "a"],
+     "unrecognized argument: '--form'"),
+    (["fixtures", "--seed", "1", "--out", "o", "--count", "-3"],
+     "argument --count: must be 0 or more, got -3"),
+    (["score", "--page=x"], "unrecognized argument: '--page=x'"),
+    (["fixtures", "--seed", "x", "--out", "o"],
+     "argument --seed: invalid literal for int() with base 10: 'x'"),
+    (["fixtures", "--seed", "1", "--out", "o", "--kind", "bogus"],
+     "argument --kind: invalid choice: 'bogus' (choose from balanced, "
+     "error-heavy, potential-heavy)"),
+    ([], "the command must be score, explain or fixtures"),
+    (["bogus", "--page", "a"], "the command must be score, explain or "
+                               "fixtures"),
+    (["fixtures"], "the following arguments are required: --seed, --out"),
+    (["fixtures", "--seed", "1", "--out", "o", "--page", "a"],
+     "unrecognized argument: '--page'"),
+    (["score", "--page", "a", "--catalog"],
+     "argument --catalog: expected one argument"),
+    (["score", "--page", "a", "-x\ny"], "unrecognized argument: '-x\\ny'"),
+]
 
-    def test_agrees_with_argparse(self):
-        accepted = []
 
-        @settings(max_examples=300, deadline=None)
-        @given(argv_lines())
-        def check(argv):
-            plain = _plain_args(argv)
-            if plain is not None:  # so None wherever argparse exits
-                assert vars(plain) == argparse_args(argv)
-                accepted.append(argv)
+class TestParseArgs:
+    """_parse_args, the CLI's one argument reader: options written in
+    full, each value the next argument, a --page group up to the next
+    argument that starts with `-`; every other line is a usage error."""
 
-        check()
-        assert len(accepted) >= 30  # the generator reaches the fast path
+    @pytest.mark.parametrize("argv, fields", [
+        (["score", "--page", "a.json"], {"page": [["a.json"]]}),
+        (["score", "--ascii", "--page", "a", "b", "--format", "json",
+          "--page", "c"],
+         {"ascii": True, "page": [["a", "b"], ["c"]], "format": "json"}),
+        (["score", "--format", "tsv", "--catalog", "c1", "--page", "a",
+          "--catalog", "c2", "--format", "json", "--weights", "w"],
+         {"page": [["a"]], "catalog": "c2", "format": "json",
+          "weights": "w"}),
+        (["explain", "--page", "a", "--frame", "visual", "--frame", "global"],
+         {"page": [["a"]], "frame": "global"}),
+        (["explain", "--frame", "motor", "--page", "", "a b.json"],
+         {"page": [["", "a b.json"]], "frame": "motor"}),
+        (["score", "--catalog", "-c.json", "--page", "a"],
+         {"page": [["a"]], "catalog": "-c.json"}),
+        (["fixtures", "--seed", "7", "--out", "o"], {"seed": 7, "out": "o"}),
+        (["fixtures", "--out", "o", "--count", "0", "--seed", "-2", "--kind",
+          "error-heavy", "--count", "3", "--kind", "potential-heavy"],
+         {"seed": -2, "out": "o", "count": 3, "kind": "potential-heavy"})])
+    def test_accepted_lines(self, argv, fields):
+        assert vars(_parse_args(argv)) == {**READ_DEFAULTS[argv[0]], **fields}
 
     def test_thousand_groups(self):
         argv = ["score", "--format", "json"]
@@ -1121,35 +1216,68 @@ class TestPlainArgs:
             argv += ["--page", f"p{i}-a.json", f"p{i}-b.json"]
             if i == 500:
                 argv.append("--ascii")
-        plain = _plain_args(argv)
-        assert len(plain.page) == 1000
-        assert vars(plain) == argparse_args(argv)
+        args = _parse_args(argv)
+        assert len(args.page) == 1000
+        assert vars(args) == reference_args(argv)
+
+    @pytest.mark.parametrize("argv, message", REJECTED,
+                             ids=[f"argv{i}" for i in range(len(REJECTED))])
+    def test_rejected_lines(self, capsys, argv, message):
+        assert run(capsys, *argv) == \
+            (2, "", f"{_USAGE}a11yfuse: error: {message}\n")
 
     @pytest.mark.parametrize("argv", [
-        ["score", "--page"], ["score"], ["score", "--format", "json"],
-        ["score", "--page", "-r.json"], ["score", "--page", "a", "-r.json"],
-        ["score", "--format", "xml", "--page", "a"],
-        ["explain", "--page", "a"], ["explain", "--frame", "--page", "a"],
-        ["score", "--page", "a", "--", "b"], ["score", "-h"],
-        ["fixtures", "--seed", "1", "--out", "o", "--count", "-3"]])
-    def test_help_and_usage_errors_are_argparse_own(self, capsys, argv):
-        assert _plain_args(argv) is None
-        with pytest.raises(SystemExit) as through_main:
-            main(argv)
-        via_main = capsys.readouterr()
-        with pytest.raises(SystemExit) as direct:
-            build_parser().parse_args(argv)
-        assert capsys.readouterr() == via_main
-        assert through_main.value.code == direct.value.code
-        assert direct.value.code == (0 if "-h" in argv else 2)
+        ["-h"], ["--help"], ["score", "-h"],
+        ["fixtures", "--seed", "x", "--help"]])
+    def test_help(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.startswith(_USAGE)
+        for word in (*FULL_OPTIONS, *FIXTURE_KINDS,
+                     *(f.value for f in DeficiencyFrame)):
+            assert word in out
 
-    def test_equals_form_goes_through_argparse(self, capsys, tmp_path):
-        missing = str(tmp_path / "x.json")
-        argv = ["score", f"--page={missing}"]
-        assert _plain_args(argv) is None
-        assert argparse_args(argv)["page"] == [[missing]]
-        assert run(capsys, *argv) == \
-            (1, "", f"error: {missing}: No such file or directory\n")
+    def test_agrees_with_argparse(self, tmp_path, monkeypatch):
+        """main returns 0, 1 or 2 on any line. Where argparse and the
+        reader both read a line, they read the same fields. Where only one
+        does, the line takes a value that starts with `-` (the reader reads
+        it) or holds a dash word that is no option written in full
+        (argparse reads it)."""
+        monkeypatch.chdir(tmp_path)  # fixtures lines write here
+        agreed = []
+
+        @settings(max_examples=300, deadline=None)
+        @given(argv_lines())
+        def check(argv):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = main(argv)
+            try:
+                args = _parse_args(argv)
+            except ValueError:
+                assert code == 2 and out.getvalue() == ""
+                assert err.getvalue().startswith(_USAGE)
+                assert err.getvalue()[len(_USAGE):].count("\n") == 1
+                if reference_args(argv) is not None:
+                    assert any(t.startswith("-") and t not in FULL_OPTIONS
+                               for t in argv)
+                return
+            if args is None:
+                assert (code, err.getvalue()) == (0, "")
+                return
+            assert code in (0, 1)
+            reference = reference_args(argv)
+            if reference is None:
+                assert any(a in FULL_OPTIONS - {"--page", "--ascii"}
+                           and b.startswith("-")
+                           for a, b in zip(argv, argv[1:]))
+            else:
+                assert vars(args) == reference
+                agreed.append(argv)
+
+        check()
+        assert len(agreed) >= 30  # the generator reaches lines both read
 
 
 class TestOutputEncoding:
