@@ -3,7 +3,8 @@ generate synthetic fixture reports.
 
 `_parse_args` reads every command line in one pass. A line it cannot read
 is a usage error: `main` writes the usage synopsis and one `error:` line to
-stderr and returns 2."""
+stderr and returns 2. `score` and `explain` are each one loop over
+`_scored_pages`, which scores one --page group at a time."""
 
 from __future__ import annotations
 
@@ -11,13 +12,12 @@ import json
 import sys
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Callable, Dict, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from . import engine
 from .engine import FrameDecision
 from .errors import IndicatorError
-from .reports import (FIXTURE_KINDS, AssessorReport, generate_fixture,
-                      parse_report)
+from .reports import FIXTURE_KINDS, generate_fixture, parse_report
 from .wcag import (FRAMES, Catalog, DeficiencyFrame, WeightConfig,
                    _file_bytes, load_config, resolve_frame)
 
@@ -125,46 +125,38 @@ def _path_error(path: str, exc) -> None:
     print(f"error: {_shown(path)}: {message}", file=sys.stderr)
 
 
-def _read_report(path: str, catalog: Catalog) -> AssessorReport:
-    report = parse_report(_file_bytes(path))
-    for cid in report.observations:  # not a set: keep document order
-        if cid not in catalog:
-            print(f"warning: {_shown(path)}: skipping unknown criterion "
-                  f"{_shown(cid)}", file=sys.stderr)
-    return report
-
-
-def _each_page(groups: List[List[str]], catalog: Catalog, w: WeightConfig,
-               frames: tuple, emit: Callable) -> bool:
-    """Read, parse and score one --page group at a time in `frames`, and
-    pass its URL and decisions to emit before the next group is read, so
-    memory holds one page. A group that fails writes
-    `error: <path>: <message>`, naming the failing report or, for an error
-    while scoring, the group's first one; it emits nothing and the other
-    groups go on. Returns whether every group scored."""
-    ok = True
+def _scored_pages(groups: List[List[str]], catalog: Catalog, w: WeightConfig,
+                  frames: tuple) -> Iterator[Tuple[str, Decisions]]:
+    """Yield the URL and decisions in `frames` of each --page group that
+    scores, one group at a time: a group is read, parsed and scored only
+    once the caller has written the page before it, so memory holds one
+    page. A group that fails writes `error: <path>: <message>`, naming the
+    failing report or, for an error while scoring, the group's first one;
+    it yields nothing and the other groups go on, so a command exits 1
+    when it gets fewer pages than groups."""
     for group in groups:
         try:
             reports = []
             for path in group:  # names the failing report in the error
-                reports.append(_read_report(path, catalog))
+                reports.append(parse_report(_file_bytes(path)))
+                for cid in reports[-1].observations:  # document order
+                    if cid not in catalog:
+                        print(f"warning: {_shown(path)}: skipping unknown "
+                              f"criterion {_shown(cid)}", file=sys.stderr)
             path = group[0]
             decisions = engine.score_page(reports, catalog, w, frames)
         except (IndicatorError, OSError) as exc:
             _path_error(path, exc)
-            ok = False
             continue
-        emit(reports[0].url, decisions)
-    return ok
+        yield reports[0].url, decisions
 
 
 def cmd_score(args) -> int:
     catalog, w = load_config(args.catalog, args.weights)
-    table, conflicts = [], []
+    table, conflicts, scored = [], [], 0
     tsv_header = "\t".join(_HEADER) + "\n"
-
-    def emit(url: str, decisions: Decisions) -> None:
-        nonlocal tsv_header
+    for url, decisions in _scored_pages(args.page, catalog, w, FRAMES):
+        scored += 1
         if args.format == "json":
             sys.stdout.write(_render_json(url, decisions, args.ascii))
         elif args.format == "table":  # the column widths need every row
@@ -175,22 +167,21 @@ def cmd_score(args) -> int:
             tsv_header = ""
         conflicts.extend(f"{_shown(url)} {k.value}" for k in FRAMES
                          if decisions[k].level is None)
-
-    ok = _each_page(args.page, catalog, w, FRAMES, emit)
     if table:
         sys.stdout.write(_render_table(table))
     for where in conflicts:
         print(f"error: total conflict: {where}", file=sys.stderr)
-    return 0 if ok and not conflicts else 1
+    return 0 if scored == len(args.page) and not conflicts else 1
 
 
 def cmd_explain(args) -> int:
     catalog, w = load_config(args.catalog, args.weights)
     frame = resolve_frame(args.frame)
-    ok = _each_page(args.page, catalog, w, (frame,), lambda url, decisions:
-                    sys.stdout.write(_render_explain(url, decisions[frame],
-                                                     args.ascii)))
-    return 0 if ok else 1
+    scored = 0
+    for url, decisions in _scored_pages(args.page, catalog, w, (frame,)):
+        scored += 1
+        sys.stdout.write(_render_explain(url, decisions[frame], args.ascii))
+    return 0 if scored == len(args.page) else 1
 
 
 def cmd_fixtures(args) -> int:

@@ -214,12 +214,18 @@ class TestPageByPage:
         utf16.write_bytes(b"\xff\xfe" + '{"url": "u"}'.encode("utf-16-le"))
         mixed = [good[0][0], good[1][1]]
         missing = tmp_path / "missing.json"
+        array = write_json(tmp_path / "array.json", [])
+        by_id = write_json(tmp_path / "by-id.json", {
+            "assessor": {"name": "t"}, "url": "u", "observations": {}})
         groups = [[str(broken)], good[0], [good[2][0], str(utf16)], good[1],
-                  mixed, [str(missing)], good[2]]
+                  mixed, [str(missing)], [array], [good[1][0], by_id],
+                  good[2]]
         errors = [f"error: {broken}: report is not valid UTF-8 JSON",
                   f"error: {utf16}: report is not valid UTF-8 JSON",
                   f"error: {mixed[0]}: reports refer to different pages",
-                  f"error: {missing}: No such file or directory"]
+                  f"error: {missing}: No such file or directory",
+                  f"error: {array}: report must be a JSON object",
+                  f"error: {by_id}: observations must be an array"]
         return good, groups, errors
 
     @pytest.mark.parametrize("argv", [
@@ -972,10 +978,20 @@ class TestExplain:
         assert labels == ["a", "a#2", "a#2#2"]
 
     def test_unknown_frame_exit_1(self, capsys, fixture_pair):
-        code, _, err = run(capsys, "explain", "--frame", "auditory",
-                           "--page", *fixture_pair)
-        assert code == 1
-        assert "unknown frame" in err
+        assert run(capsys, "explain", "--frame", "auditory",
+                   "--page", *fixture_pair) == (
+            1, "", "error: unknown frame 'auditory'; expected one of visual, "
+                   "hearing, motor, cognitive, global\n")
+
+    def test_config_error_comes_before_frame_and_pages(self, capsys, tmp_path,
+                                                       fixture_pair):
+        # the config is loaded, then the frame resolved, then pages read:
+        # one error line, and no page read (the missing one would add one)
+        catalog, page = tmp_path / "nope.json", tmp_path / "gone.json"
+        assert run(capsys, "explain", "--frame", "auditory",
+                   "--catalog", str(catalog), "--page", *fixture_pair,
+                   "--page", str(page)) == (
+            1, "", f"error: {catalog}: No such file or directory\n")
 
     def test_frame_name_ignores_case(self, capsys, fixture_pair):
         lower = run(capsys, "explain", "--frame", "global",

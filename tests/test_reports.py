@@ -72,6 +72,19 @@ class TestParse:
     def test_stored_total_accepted_when_right(self):
         assert parse_report(report_doc([obs(n_ok=3)], total=3)).total_tests == 3
 
+    @pytest.mark.parametrize("document", [[], 3, '"x"'])
+    def test_report_must_be_an_object(self, document):
+        with pytest.raises(SchemaError) as caught:
+            parse_report(document)
+        assert str(caught.value) == "report must be a JSON object"
+
+    @pytest.mark.parametrize("document", [dict, json.dumps])
+    def test_observations_must_be_an_array(self, document):
+        doc = {"assessor": {"name": "t"}, "url": "u", "observations": {}}
+        with pytest.raises(SchemaError) as caught:
+            parse_report(document(doc))
+        assert str(caught.value) == "observations must be an array"
+
     def test_missing_fields(self):
         with pytest.raises(SchemaError):
             parse_report({"url": "x"})
