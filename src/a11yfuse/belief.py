@@ -9,8 +9,8 @@ transform divides it back out at decision time.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from functools import partial, reduce
-from typing import Iterable
 
 from .errors import (EmptySourceSet, InvalidMass, OutOfRange, TotalConflict,
                      checked_tuple)

@@ -9,10 +9,10 @@ stderr and returns 2. `score` and `explain` are each one loop over
 from __future__ import annotations
 
 import json
+import os
 import sys
-from pathlib import Path
+from collections.abc import Iterator
 from types import SimpleNamespace
-from typing import Dict, Iterator, List, Optional, Tuple
 
 from . import engine
 from .engine import FrameDecision
@@ -21,12 +21,12 @@ from .reports import FIXTURE_KINDS, generate_fixture, parse_report
 from .wcag import (FRAMES, Catalog, DeficiencyFrame, WeightConfig,
                    _file_bytes, load_config, resolve_frame)
 
-Decisions = Dict[DeficiencyFrame, FrameDecision]
+Decisions = dict[DeficiencyFrame, FrameDecision]
 _FORMATS = ("table", "json", "tsv")  # score --format; the first is the default
 _HEADER = ("URL", *(f.value.capitalize() for f in FRAMES))
 
 
-def _glyph(d: FrameDecision, ascii_mode: bool) -> Optional[str]:
+def _glyph(d: FrameDecision, ascii_mode: bool) -> str | None:
     if d.level is None:
         return None
     return d.level.ascii_glyph if ascii_mode else d.level.glyph
@@ -68,7 +68,7 @@ def _text_row(url: str, decisions: Decisions, ascii_mode: bool) -> tuple:
     return (_shown(url), *(_cell(decisions[k], ascii_mode) for k in FRAMES))
 
 
-def _render_table(table: List[tuple]) -> str:
+def _render_table(table: list[tuple]) -> str:
     """The header and the text rows, each column padded to its widest
     cell."""
     table = [_HEADER, *table]
@@ -125,8 +125,8 @@ def _path_error(path: str, exc) -> None:
     print(f"error: {_shown(path)}: {message}", file=sys.stderr)
 
 
-def _scored_pages(groups: List[List[str]], catalog: Catalog, w: WeightConfig,
-                  frames: tuple) -> Iterator[Tuple[str, Decisions]]:
+def _scored_pages(groups: list[list[str]], catalog: Catalog, w: WeightConfig,
+                  frames: tuple) -> Iterator[tuple[str, Decisions]]:
     """Yield the URL and decisions in `frames` of each --page group that
     scores, one group at a time: a group is read, parsed and scored only
     once the caller has written the page before it, so memory holds one
@@ -185,13 +185,13 @@ def cmd_explain(args) -> int:
 
 
 def cmd_fixtures(args) -> int:
-    out_dir = Path(args.out)
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
+        os.makedirs(args.out, exist_ok=True)
         for i in range(args.count):
-            text = generate_fixture(args.seed + i, args.kind)
-            (out_dir / f"report-{args.kind}-{args.seed + i}.json").write_text(
-                text, encoding="utf-8")
+            name = f"report-{args.kind}-{args.seed + i}.json"
+            with open(os.path.join(args.out, name), "w",
+                      encoding="utf-8") as f:
+                f.write(generate_fixture(args.seed + i, args.kind))
     except OSError as exc:
         print(f"error: cannot write fixtures: {_message(exc)}",
               file=sys.stderr)
@@ -223,7 +223,7 @@ estimates, masses and fusion; fixtures writes synthetic reports.
 _REQUIRED = object()  # the default of an option that a line must give
 
 
-def _parse_args(argv: List[str]) -> Optional[SimpleNamespace]:
+def _parse_args(argv: list[str]) -> SimpleNamespace | None:
     """The arguments of a command line, with `func` the command's function,
     or None if it holds -h or --help. One pass reads it: options are written
     in full, each value is the next argument, and a --page group runs to the

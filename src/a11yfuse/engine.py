@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import namedtuple
+from collections.abc import Iterable
 from enum import Enum
-from typing import Dict, Iterable
 
 from . import belief
 from .belief import MassFunction
@@ -151,7 +151,7 @@ def discretize(d: float, w: WeightConfig) -> AccessLevel:
 
 def score_page(reports: Iterable[AssessorReport], catalog: Catalog,
                w: WeightConfig, frames: Iterable[DeficiencyFrame] = FRAMES
-               ) -> Dict[DeficiencyFrame, FrameDecision]:
+               ) -> dict[DeficiencyFrame, FrameDecision]:
     """Fuse all assessors' evidence for each of `frames` and decide, keyed
     in the order given, each name resolved as resolve_frame does. Each
     assessor name is made unique: #<index in the page> is appended while

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import json
-from typing import Dict, Optional
 
 from .errors import CountInconsistency, SchemaError, checked_tuple
 from .wcag import WeightConfig, _decode_json, _unknown_keys, load_config
@@ -116,7 +115,7 @@ class AssessorReport(checked_tuple(
     __slots__ = ()
 
     def __new__(cls, profile: AssessorProfile, url: str,
-                observations: Optional[Dict[str, CriterionObservation]] = None):
+                observations: dict[str, CriterionObservation] | None = None):
         if not isinstance(profile, AssessorProfile):
             raise SchemaError(f"not an AssessorProfile: {profile!r}")
         _check_text("url", url)
@@ -171,7 +170,7 @@ def parse_report(document) -> AssessorReport:
         raise _unknown_keys("assessor block", assessor, _ASSESSOR_KEYS)
     profile = AssessorProfile(**assessor)
 
-    observations: Dict[str, CriterionObservation] = {}
+    observations: dict[str, CriterionObservation] = {}
     for entry in raw_obs:
         if not isinstance(entry, dict) or "criterion" not in entry:
             raise SchemaError(f"bad observation entry: {entry!r}")

@@ -9,9 +9,9 @@ discretization thresholds are set apart from it, in a weights file.
 from __future__ import annotations
 
 import json
+import os
+from collections.abc import Collection, Iterable, Mapping
 from enum import Enum
-from pathlib import Path
-from typing import Collection, Dict, Iterable, Mapping, Optional, Union
 
 from .errors import SchemaError, UnknownFrame, checked_tuple
 
@@ -74,7 +74,7 @@ class WeightConfig(checked_tuple(
         return tuple.__new__(cls, map(float, self))  # in range: no overflow
 
 
-def alpha_for(w: WeightConfig) -> Dict[str, float]:
+def alpha_for(w: WeightConfig) -> dict[str, float]:
     """The weight of each conformance level under w, keyed by the level,
     which a ConformanceLevel member indexes too."""
     return {"A": w.alpha_a, "AA": w.alpha_aa, "AAA": w.alpha_aaa}
@@ -141,11 +141,12 @@ def _unknown_keys(where: str, doc: dict, allowed: frozenset) -> SchemaError:
 _WEIGHTS_FILE_KEYS = frozenset(("weights", "thresholds"))
 _CRITERION_KEYS = frozenset(("id", "level", "frames"))
 _WEIGHT_KEYS = {"a": "alpha_a", "aa": "alpha_aa", "aaa": "alpha_aaa"}
-_PACKAGED = Path(__file__).parent / "data" / "wcag20_criteria.json"
+_PACKAGED = os.path.join(os.path.dirname(__file__), "data",
+                         "wcag20_criteria.json")
 
 
 def _build_catalog(entries: Iterable[dict]) -> Catalog:
-    criteria: Dict[str, CriterionSpec] = {}
+    criteria: dict[str, CriterionSpec] = {}
     for entry in entries:
         if not isinstance(entry, dict) or not _CRITERION_KEYS.issubset(entry):
             raise SchemaError(f"bad catalog entry: {entry!r}")
@@ -158,7 +159,7 @@ def _build_catalog(entries: Iterable[dict]) -> Catalog:
     return Catalog(criteria)
 
 
-def _decode_json(document: Union[str, bytes], what: str):
+def _decode_json(document: str | bytes, what: str):
     """Parse JSON text or UTF-8 bytes; a fault raises SchemaError."""
     try:
         return json.loads(document.decode("utf-8")
@@ -167,13 +168,13 @@ def _decode_json(document: Union[str, bytes], what: str):
         raise SchemaError(f"{what} is not valid UTF-8 JSON: {exc}") from exc
 
 
-def _file_bytes(path: Union[str, Path]) -> bytes:
+def _file_bytes(path: str | os.PathLike) -> bytes:
     """The file's bytes. A path that open rejects raises OSError with path
     as filename, also for a NUL or a character the OS cannot encode."""
     try:
         f = open(path, "rb")
     except ValueError as exc:
-        raise OSError(None, str(exc), str(path)) from None
+        raise OSError(None, str(exc), os.fspath(path)) from None
     with f:
         return f.read()
 
@@ -201,19 +202,19 @@ def _weights_from_json(doc) -> WeightConfig:
     return WeightConfig(**kwargs)
 
 
-def load_config(catalog: Union[str, Path, list, None] = None,
-                weights: Optional[Union[str, Path]] = None):
+def load_config(catalog: str | os.PathLike | list | None = None,
+                weights: str | os.PathLike | None = None):
     """(catalog, weights): a read-only Catalog from criterion id to
     CriterionSpec, and the WeightConfig of level weights and thresholds.
 
-    `catalog` is a file path, an already-parsed document, or None (or an
-    empty string) for the packaged catalog; a document is a JSON array of
-    {"id", "level", "frames"} entries. `weights` names a file of "weights"
-    and "thresholds", the one place to set them; without it they are
-    WeightConfig(). Bad content raises SchemaError; a file that cannot be
-    opened raises OSError with its path as filename."""
+    `catalog` is a file path (str or os.PathLike), a parsed document, or
+    None (or an empty string) for the packaged catalog; a document is a
+    JSON array of {"id", "level", "frames"} entries. `weights` names a file
+    of "weights" and "thresholds", the one place to set them; without it
+    they are WeightConfig(). Bad content raises SchemaError; a file that
+    cannot be opened raises OSError with its path as filename."""
     doc = catalog  # a path or document here; a Catalog only once built
-    if doc is None or isinstance(doc, (str, Path)):
+    if doc is None or isinstance(doc, (str, os.PathLike)):
         doc = _decode_json(_file_bytes(doc or _PACKAGED), "catalog")
     if not isinstance(doc, list):
         raise SchemaError("catalog must be a JSON array of criteria; weights "

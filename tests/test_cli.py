@@ -1043,9 +1043,27 @@ class TestFixturesCommand:
     def test_unwritable_out_exit_1(self, capsys, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("x", encoding="utf-8")
-        code = main(["fixtures", "--seed", "1", "--kind", "balanced",
-                     "--count", "1", "--out", str(blocker)])
-        assert code == 1
+        assert run(capsys, "fixtures", "--seed", "1", "--kind", "balanced",
+                   "--count", "1", "--out", str(blocker)) == (
+            1, "", f"error: cannot write fixtures: [Errno 17] File exists: "
+                   f"'{blocker}'\n")
+
+    def test_empty_out_exit_1(self, capsys, tmp_path, monkeypatch):
+        # an empty --out names no directory; it is not the working one
+        monkeypatch.chdir(tmp_path)
+        assert run(capsys, "fixtures", "--seed", "1", "--out", "") == (
+            1, "", "error: cannot write fixtures: [Errno 2] No such file or "
+                   "directory: ''\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_parents_are_made(self, capsys, tmp_path):
+        out = tmp_path / "a" / "b" / "c"
+        assert run(capsys, "fixtures", "--seed", "3", "--count", "2",
+                   "--out", str(out)) == (0, "", "")
+        assert sorted(p.name for p in out.iterdir()) == \
+            ["report-balanced-3.json", "report-balanced-4.json"]
+        assert (out / "report-balanced-3.json").read_text(
+            encoding="utf-8") == generate_fixture(3, "balanced")
 
     def test_negative_count_exit_2(self, capsys, tmp_path):
         out = tmp_path / "fx"

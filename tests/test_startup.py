@@ -2,10 +2,15 @@
 
 The value types are named tuples validated in __new__ and the catalog is a
 read-only mapping, so importing the package needs neither dataclasses nor
-importlib.resources and what those pull in.
+importlib.resources and what those pull in. Annotations use builtin
+generics and paths are plain strings joined by os.path, so it needs neither
+typing nor pathlib, nor the urllib.parse that pathlib pulls in. The source
+parses at the oldest Python that pyproject.toml's requires-python admits.
 """
 
+import ast
 import json
+import re
 import subprocess
 import sys
 import tempfile
@@ -45,7 +50,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 HEAVY_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize",
                  "importlib.resources", "tempfile", "shutil", "argparse",
-                 "gettext", "locale", "random")
+                 "gettext", "locale", "typing", "pathlib", "urllib.parse",
+                 "random")
 
 
 def test_cli_import_skips_heavy_modules():
@@ -63,8 +69,8 @@ def test_cli_import_skips_heavy_modules():
 def test_cli_runs_on_the_standard_library_alone(tmp_path):
     # every module a score, explain and fixtures run leaves loaded, by
     # top-level name; python -S keeps site-packages off the path. No run
-    # loads argparse, gettext or locale; score and explain do not load the
-    # fixture generator's random either
+    # loads argparse, gettext, locale, typing, pathlib or urllib.parse;
+    # score and explain do not load the fixture generator's random either
     page = tmp_path / "report-balanced-7.json"
     page.write_text(generate_fixture(7, "balanced"), encoding="utf-8")
     code = """if True:
@@ -84,10 +90,22 @@ def test_cli_runs_on_the_standard_library_alone(tmp_path):
     """
     proc = subprocess.run([sys.executable, "-S", "-c", code, str(SRC),
                            str(tmp_path), "argparse", "gettext", "locale",
-                           "random"],
+                           "typing", "pathlib", "urllib.parse", "random"],
                           capture_output=True, text=True, check=True)
     assert proc.stdout.splitlines()[-2:] == ["[]", "[0, 0, 0, 0] [] []"]
     assert proc.stderr == ""
+
+
+def test_source_parses_at_the_python_floor():
+    # ast.parse rejects syntax newer than feature_version, such as except*
+    # below 3.11; library calls newer than the floor it cannot see
+    pyproject = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8")
+    floor = re.search(r'^requires-python = ">=3\.(\d+)"$', pyproject, re.M)
+    sources = sorted((SRC / "a11yfuse").glob("*.py"))
+    assert floor and sources
+    for path in sources:
+        ast.parse(path.read_text(encoding="utf-8"), str(path),
+                  feature_version=(3, int(floor[1])))
 
 
 def _obs():

@@ -304,6 +304,25 @@ class TestLoadConfig:
         assert w.alpha_aa == 0.7
         assert alpha_for(w)[catalog["1.4.3"].level] == 0.7
 
+    def test_paths_may_be_any_path_like(self, tmp_path):
+        class PathLike:  # an os.PathLike that is not a pathlib.Path
+            def __init__(self, path):
+                self.path = str(path)
+
+            def __fspath__(self):
+                return self.path
+
+        cpath = self.write(tmp_path, "c.json",
+                           [{"id": "c1", "level": "A", "frames": ["motor"]}])
+        wpath = self.write(tmp_path, "w.json", {"weights": {"aa": 0.7}})
+        catalog, w = load_config(PathLike(cpath), PathLike(wpath))
+        assert list(catalog) == ["c1"] and w.alpha_aa == 0.7
+        for path in (str(tmp_path / "missing.json"), "a\0b"):
+            for args in ((PathLike(path),), (None, PathLike(path))):
+                with pytest.raises(OSError) as raised:
+                    load_config(*args)
+                assert raised.value.filename == path
+
     def test_catalog_criteria_must_be_an_array(self, tmp_path):
         cpath = self.write(tmp_path, "c.json", {"criteria": 5})
         with pytest.raises(SchemaError, match="^catalog must be a JSON array"):
