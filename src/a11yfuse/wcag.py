@@ -208,17 +208,17 @@ def load_config(catalog: str | os.PathLike | list | None = None,
     CriterionSpec, and the WeightConfig of level weights and thresholds.
 
     `catalog` is a file path (str or os.PathLike), a parsed document, or
-    None (or an empty string) for the packaged catalog; a document is a
-    JSON array of {"id", "level", "frames"} entries. `weights` names a file
-    of "weights" and "thresholds", the one place to set them; without it
-    they are WeightConfig(). Bad content raises SchemaError; a file that
-    cannot be opened raises OSError with its path as filename."""
-    doc = catalog  # a path or document here; a Catalog only once built
-    if doc is None or isinstance(doc, (str, os.PathLike)):
-        doc = _decode_json(_file_bytes(doc or _PACKAGED), "catalog")
+    None for the packaged catalog; a document is a JSON array of {"id",
+    "level", "frames"} entries. `weights` names a file of "weights" and
+    "thresholds", the one place to set them; without it they are
+    WeightConfig(). Bad content raises SchemaError; a file that cannot be
+    opened raises OSError with its path as filename."""
+    doc = _PACKAGED if catalog is None else catalog  # a path or document
+    if isinstance(doc, (str, os.PathLike)):
+        doc = _decode_json(_file_bytes(doc), "catalog")
     if not isinstance(doc, list):
         raise SchemaError("catalog must be a JSON array of criteria; weights "
                           "and thresholds go in a weights file")
     w = (_weights_from_json(_decode_json(_file_bytes(weights), "weights file"))
-         if weights else WeightConfig())
+         if weights is not None else WeightConfig())
     return _build_catalog(doc), w

@@ -528,17 +528,19 @@ class TestConfigErrors:
                    "and thresholds go in a weights file\n")
 
     @pytest.mark.parametrize("flag", ["--catalog", "--weights"])
-    @pytest.mark.parametrize("kind", ["missing", "directory", "nul",
+    @pytest.mark.parametrize("kind", ["missing", "empty", "directory", "nul",
                                       "surrogate"])
     def test_config_file_fault_names_the_path_exit_1(
             self, capsys, tmp_path, fixture_pair, flag, kind):
         # once `error: [Errno 2] ...: '<path>'`, a ValueError traceback for
         # the NUL, and `cannot write output` for the surrogate, which names
-        # stdout (a command line cannot carry the last two; a library can)
+        # stdout (a command line cannot carry the last two; a library can).
+        # An empty path is a path like any other, not the default
         path, line = {
             "missing": (str(tmp_path / "nope.json"),
                         f"error: {tmp_path / 'nope.json'}: "
                         f"No such file or directory\n"),
+            "empty": ("", "error: : No such file or directory\n"),
             "directory": (str(tmp_path),
                           f"error: {tmp_path}: Is a directory\n"),
             "nul": ("a\x00b", "error: a\\x00b: embedded null byte\n"),

@@ -6,6 +6,8 @@ importlib.resources and what those pull in. Annotations use builtin
 generics and paths are plain strings joined by os.path, so it needs neither
 typing nor pathlib, nor the urllib.parse that pathlib pulls in. The source
 parses at the oldest Python that pyproject.toml's requires-python admits.
+The package root imports and names nothing, so an import loads only the
+modules it needs; README's module map gives each public name's module.
 """
 
 import ast
@@ -94,6 +96,62 @@ def test_cli_runs_on_the_standard_library_alone(tmp_path):
                           capture_output=True, text=True, check=True)
     assert proc.stdout.splitlines()[-2:] == ["[]", "[0, 0, 0, 0] [] []"]
     assert proc.stderr == ""
+
+
+PACKAGE = ("a11yfuse", "a11yfuse.belief", "a11yfuse.cli", "a11yfuse.engine",
+           "a11yfuse.errors", "a11yfuse.reports", "a11yfuse.wcag")
+
+
+@pytest.mark.parametrize("module, loaded", [
+    ("a11yfuse", {"a11yfuse"}),
+    ("a11yfuse.belief", {"a11yfuse", "a11yfuse.belief", "a11yfuse.errors"}),
+    ("a11yfuse.cli", set(PACKAGE)),
+])
+def test_an_import_loads_only_what_its_module_needs(module, loaded):
+    # the package root imports nothing and names nothing: its only public
+    # attributes are the submodules that an import has loaded
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            f"import {module}, a11yfuse; "
+            "print(sorted(m for m in sys.modules if m in sys.argv[2:])); "
+            "print(sorted(k for k in vars(a11yfuse) if k[0] != '_'))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code, str(SRC),
+                           *PACKAGE], capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.splitlines() == [
+        str(sorted(loaded)),
+        str(sorted(m.partition(".")[2] for m in loaded if "." in m))]
+
+
+def _module_map() -> dict:
+    """README's module map: each listed module and the names on its row."""
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n### Module map\n", 1)[1].split("\n#", 1)[0]
+    rows = re.findall(r"^\| `(a11yfuse\.\w+)` \| (.+) \|$", section, re.M)
+    return {module: re.findall(r"`(\w+)`", names) for module, names in rows}
+
+
+def _defined_names(module: str) -> list:
+    """The public names that a package module's source binds at its top
+    level, by def, class or assignment."""
+    path = SRC / (module.replace(".", "/") + ".py")
+    names = []
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+    return sorted(n for n in names if not n.startswith("_"))
+
+
+def test_module_map_names_each_public_name_at_its_module():
+    # each package module has one row, which lists exactly the public
+    # names the module defines, and each imports from there
+    mapped = _module_map()
+    assert sorted(mapped) == sorted(PACKAGE[1:])
+    for module, names in mapped.items():
+        assert sorted(names) == _defined_names(module), module
+        for name in names:
+            exec(f"from {module} import {name}", {})
 
 
 def test_source_parses_at_the_python_floor():
@@ -282,7 +340,11 @@ def test_catalog_equality_and_read_only():
     path = SRC / "a11yfuse" / "data" / "wcag20_criteria.json"
     entries = [{"id": "1.1.1", "level": "A", "frames": ["visual"]}]
     by_path = [load_config(p)[0] for p in (str(path), path)]
-    assert catalog == load_config()[0] == load_config("")[0] == by_path[0]
+    assert catalog == load_config()[0] == by_path[0]
+    for empty in ({"catalog": ""}, {"weights": ""}):  # a path, not None
+        with pytest.raises(OSError) as raised:
+            load_config(**empty)
+        assert raised.value.filename == ""
     assert catalog != load_config([])[0]
     for loaded in (catalog, load_config([])[0], *by_path,
                    load_config(entries)[0]):
